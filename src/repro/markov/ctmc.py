@@ -5,14 +5,15 @@ Used for the truncated-chain ablation (the paper argues truncation of the
 reproduce that claim quantitatively) and for brute-force validation of the
 QBD solver on finite state spaces.  Large truncated chains are held in
 scipy sparse form; dense numpy arrays work as before for small chains.
+``scipy.sparse`` is imported inside the functions that use it, so
+importing this module (and every analytic path) stays free of it.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from ..robustness import (
     ConvergenceError,
@@ -20,6 +21,9 @@ from ..robustness import (
     ValidationError,
     ensure_finite_array,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only, see module docstring
+    from scipy import sparse
 
 __all__ = ["Ctmc", "build_generator"]
 
@@ -43,6 +47,8 @@ def build_generator(rates: np.ndarray) -> np.ndarray:
 
 def _build_generator_sparse(rates: "sparse.spmatrix") -> "sparse.csr_matrix":
     """Sparse counterpart of :func:`build_generator`."""
+    from scipy import sparse
+
     rates = rates.tocsr().astype(float)
     if rates.shape[0] != rates.shape[1]:
         raise ValidationError(f"rate matrix must be square, got shape {rates.shape}")
@@ -66,6 +72,8 @@ class Ctmc:
     """
 
     def __init__(self, generator, is_rate_matrix: bool = False):
+        from scipy import sparse
+
         self._sparse = sparse.issparse(generator)
         if self._sparse:
             generator = (
@@ -128,6 +136,7 @@ class Ctmc:
         return pi / total
 
     def _stationary_sparse(self) -> np.ndarray:
+        from scipy import sparse
         from scipy.sparse.linalg import spsolve
 
         n = self.n_states

@@ -773,8 +773,9 @@ class SweepRunner:
         return payload
 
     # Signal handling: the handlers only set a flag; the run loop turns it
-    # into an orderly teardown (journal is already flushed per point) and
-    # re-raises so the process exits with the conventional status.
+    # into an orderly teardown (every completed point's journal line is
+    # already appended and fsynced) and re-raises so the process exits
+    # with the conventional status.
 
     def _on_signal(self, signum, _frame) -> None:
         self._signal = signum

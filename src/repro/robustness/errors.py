@@ -309,8 +309,8 @@ class ContractViolationWarning(UserWarning):
 class CorruptJournalWarning(UserWarning):
     """A checkpoint journal contained torn or corrupt lines on load.
 
-    A mid-write crash (power loss, SIGKILL during a pre-atomic append)
-    can leave a truncated final JSONL line; skipping it and resuming from
+    A mid-write crash (power loss, SIGKILL during an append) can leave a
+    truncated final JSONL line; skipping it and resuming from
     the intact records is the correct recovery, but it must not happen
     silently — the warning (and the ``checkpoint.torn_lines`` telemetry
     counter) record that some journaled work will be recomputed.

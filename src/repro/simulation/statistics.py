@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from scipy import stats as _scipy_stats
-
 __all__ = [
     "Welford",
     "ConfidenceInterval",
@@ -111,9 +109,13 @@ def replication_interval(
     if n < 2:
         mean = values[0] if n else float("nan")
         return ConfidenceInterval(mean=mean, half_width=float("inf"), level=level, n=n)
+    # Imported here, not at module scope: scipy.stats costs most of the
+    # package's import time and only this quantile needs it.
+    from scipy import stats
+
     acc = Welford()
     acc.add_many(values)
-    t = float(_scipy_stats.t.ppf(0.5 + level / 2.0, df=n - 1))
+    t = float(stats.t.ppf(0.5 + level / 2.0, df=n - 1))
     return ConfidenceInterval(
         mean=acc.mean, half_width=t * acc.std / math.sqrt(n), level=level, n=n
     )

@@ -108,6 +108,34 @@ class TestCheckpointJournal:
         assert journal.get("k")["status"] == "ok"
         assert len(CheckpointJournal(tmp_path / "j.jsonl")) == 1
 
+    def test_record_appends_one_line_in_place(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal(path)
+        journal.record({"key": "k1", "status": "ok", "value": 1.5})
+        journal.record({"key": "k2", "status": "failed"})
+        before, inode = path.read_bytes(), path.stat().st_ino
+        journal.record({"key": "k3", "status": "ok"})
+        after = path.read_bytes()
+        assert after.startswith(before)
+        assert after[len(before):] == b'{"key": "k3", "status": "ok"}\n'
+        assert path.stat().st_ino == inode  # grown, not replaced
+
+    def test_appended_duplicates_resolve_last_record_wins(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal(path)
+        journal.record({"key": "k", "status": "failed"})
+        journal.record({"key": "other", "status": "ok"})
+        journal.record({"key": "k", "status": "ok"})
+        assert len(path.read_text().splitlines()) == 3
+        reloaded = CheckpointJournal(path)
+        assert len(reloaded) == 2
+        assert reloaded.get("k")["status"] == "ok"
+
+    def test_first_record_creates_missing_checkpoint_dir(self, tmp_path):
+        path = tmp_path / "missing" / "deeper" / "j.jsonl"
+        CheckpointJournal(path).record({"key": "k", "status": "ok"})
+        assert CheckpointJournal(path).get("k")["status"] == "ok"
+
     def test_tolerates_torn_tail_line(self, tmp_path):
         path = tmp_path / "j.jsonl"
         good = json.dumps({"key": "k1", "status": "ok"})

@@ -70,6 +70,70 @@ class TestTornTail:
         assert reloaded.torn_lines == 0
         assert len(reloaded) == 1
 
+    def test_undecodable_line_skipped_loudly(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_bytes(b'{"key": "a"}\n\xff\xfe\x00garbage\n{"key": "b"}\n')
+        registry().reset()
+        with pytest.warns(CorruptJournalWarning, match=r"line 2\b"):
+            journal = CheckpointJournal(path)
+        assert journal.torn_lines == 1
+        assert "a" in journal and "b" in journal
+        assert registry().counter("checkpoint.torn_lines") == 1
+        journal.record({"key": "c"})  # compacts the bad line away
+        assert b"\xff" not in path.read_bytes()
+
+
+class TestRecordAfterTornLoad:
+    """The first record after a torn load compacts instead of appending."""
+
+    @staticmethod
+    def _reload_clean(path):
+        import warnings as warnings_module
+
+        with warnings_module.catch_warnings():
+            warnings_module.simplefilter("error")
+            return CheckpointJournal(path)
+
+    def test_record_after_torn_tail_is_not_glued_on(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        good = [{"key": "k1", "value": 1}, {"key": "k2", "value": 2}]
+        _write_journal(path, good, tail='{"key": "k3", "status": "o')  # no "\n"
+        with pytest.warns(CorruptJournalWarning):
+            journal = CheckpointJournal(path)
+        journal.record({"key": "k4", "value": 4})
+        reloaded = self._reload_clean(path)
+        assert reloaded.torn_lines == 0
+        assert sorted(r["key"] for r in reloaded) == ["k1", "k2", "k4"]
+        assert reloaded.get("k1")["value"] == 1
+
+    def test_missing_final_newline_is_compacted(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text('{"key": "a"}')  # a complete record, but no newline
+        journal = self._reload_clean(path)
+        journal.record({"key": "b"})
+        journal.record({"key": "c"})  # back to appending
+        reloaded = self._reload_clean(path)
+        assert sorted(r["key"] for r in reloaded) == ["a", "b", "c"]
+        assert len(path.read_text().splitlines()) == 3
+
+    def test_failed_append_compacts_on_next_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "journal.jsonl"
+        journal = CheckpointJournal(path)
+        journal.record({"key": "a"})
+
+        def full_disk(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("repro.orchestration.checkpoint.os.fsync", full_disk)
+        with pytest.raises(OSError):
+            journal.record({"key": "b"})
+        monkeypatch.undo()
+        inode = path.stat().st_ino
+        journal.record({"key": "c"})
+        assert path.stat().st_ino != inode  # rewritten, not appended to
+        reloaded = self._reload_clean(path)
+        assert sorted(r["key"] for r in reloaded) == ["a", "b", "c"]
+
 
 class TestResumeAcrossTornJournal:
     def test_resume_recomputes_only_the_torn_point(self, tmp_path):
