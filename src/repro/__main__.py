@@ -566,7 +566,7 @@ def cmd_bench(args) -> int:
         for path in unparseable:
             print(
                 f"unpairable baseline record {path} (expected "
-                "BENCH_<name>[.<variant>][.quick].json)",
+                "BENCH_<name>[.quick].json)",
                 file=sys.stderr,
             )
             failures += 1
@@ -575,9 +575,7 @@ def cmd_bench(args) -> int:
         payload = record.as_dict()
         baseline = None
         if args.compare is not None:
-            baseline = perf_bench.load_baseline(
-                name, args.quick, args.compare, variant=record.variant
-            )
+            baseline = perf_bench.load_baseline(name, args.quick, args.compare)
             if baseline is not None:
                 # Fold the trajectory into the record itself, so the JSON
                 # is self-contained: what was measured, against what, and
@@ -599,19 +597,12 @@ def cmd_bench(args) -> int:
                     ) / (record.wall_time / record.calibration)
         path = perf_bench.write_bench_json(payload, args.out)
         cache = payload["cache"] or {}
-        solver = payload.get("solver") or {}
-        fallbacks = solver.get("batched_fallbacks")
         print(
             f"[bench {name}{' --quick' if args.quick else ''}] "
             f"wall {record.wall_time:.4g}s (best of {args.repeat}), "
             f"cache hit rate {cache.get('hit_rate', 0.0):.0%} "
             f"({cache.get('hits', 0)} hits / {cache.get('misses', 0)} misses)"
-            + (
-                f", {fallbacks} batched fallback(s)"
-                if fallbacks is not None
-                else ""
-            )
-            + f" -> {path}"
+            f" -> {path}"
         )
         if args.compare is not None:
             if baseline is None:
@@ -620,13 +611,8 @@ def cmd_bench(args) -> int:
                 # the regression gate off silently.
                 print(
                     f"  UNPAIRED: no baseline for {name} in {args.compare} "
-                    f"(expected {perf_bench.record_filename(name, record.variant, args.quick)}"
-                    + (
-                        f" or {perf_bench.record_filename(name, None, args.quick)}"
-                        if record.variant
-                        else ""
-                    )
-                    + "); commit the new record as its baseline, or pass "
+                    f"(expected {perf_bench.record_filename(name, args.quick)}"
+                    "); commit the new record as its baseline, or pass "
                     "--allow-missing-baseline to bootstrap"
                 )
                 failures += not args.allow_missing_baseline
@@ -774,7 +760,10 @@ def main(argv: "list[str] | None" = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="worker subprocesses for the sweep (0 = in-process, no isolation)",
+        help="worker subprocesses for the sweep (0 = in-process, no isolation; "
+        "each row's QBDs are then solved in stacked LAPACK calls before the "
+        "per-point loop, which prints the same tables, since every value, "
+        "warning and contract check still comes from that loop)",
     )
     p_fig.add_argument(
         "--timeout",
@@ -820,7 +809,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "under --checkpoint-dir",
     )
     _add_store_flag(p_fig)
-    _add_batched_flag(p_fig)
     p_fig.set_defaults(func=cmd_figure)
 
     p_check = sub.add_parser(
@@ -996,11 +984,9 @@ def main(argv: "list[str] | None" = None) -> int:
         "--allow-missing-baseline",
         action="store_true",
         help="with --compare, treat a missing baseline record as a note "
-        "instead of a gate failure (for bootstrapping new benchmarks or "
-        "variants)",
+        "instead of a gate failure (for bootstrapping new benchmarks)",
     )
     _add_store_flag(p_bench)
-    _add_batched_flag(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_serve = sub.add_parser(
@@ -1110,17 +1096,6 @@ def _add_store_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batched_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batched",
-        action="store_true",
-        help="solve whole sweep rows with stacked (batched) LAPACK calls "
-        "instead of per-point Python loops (sets REPRO_BATCHED for this "
-        "run, including worker subprocesses); results are identical to "
-        "the scalar path — see docs/performance.md",
-    )
-
-
 def _trace_run_name(args) -> str:
     """Run name for the TRACE_<name>.jsonl export (mirrors each command's
     journal/manifest naming so the trace lands next to them)."""
@@ -1140,9 +1115,6 @@ def _dispatch(args) -> int:
     import os
 
     from .perf.store import STORE_ENV_VAR, store_from_env
-    from .telemetry import TRACE_ENV_VAR, tracing_enabled
-
-    from .perf.batched import BATCHED_ENV_VAR, batched_enabled
 
     store_overridden = False
     prior_store_env = os.environ.get(STORE_ENV_VAR)
@@ -1154,28 +1126,16 @@ def _dispatch(args) -> int:
         # disabled/empty one is overridden — the user asked for --store.
         os.environ[STORE_ENV_VAR] = "1"
         store_overridden = True
-    batched_overridden = False
-    prior_batched_env = os.environ.get(BATCHED_ENV_VAR)
-    if getattr(args, "batched", False) and not batched_enabled():
-        # Same env-var pattern as --store: crosses the worker boundary so
-        # orchestration workers run the batched backend too.
-        os.environ[BATCHED_ENV_VAR] = "1"
-        batched_overridden = True
     try:
         return _dispatch_traced(args)
     finally:
-        # A --store/--batched run must not leak its env into later
-        # in-process main() calls (tests, notebooks).
+        # A --store run must not leak its env into later in-process
+        # main() calls (tests, notebooks).
         if store_overridden:
             if prior_store_env is None:
                 os.environ.pop(STORE_ENV_VAR, None)
             else:
                 os.environ[STORE_ENV_VAR] = prior_store_env
-        if batched_overridden:
-            if prior_batched_env is None:
-                os.environ.pop(BATCHED_ENV_VAR, None)
-            else:
-                os.environ[BATCHED_ENV_VAR] = prior_batched_env
 
 
 def _dispatch_traced(args) -> int:

@@ -211,8 +211,8 @@ class CsCqAnalysis:
     def _solution_cache_key(self) -> tuple:
         """``analysis-solution`` cache key: the chain's defining inputs
         (rates + exact PH representations), so a sweep-cache hit skips the
-        block assembly as well as the solve.  Shared with the batched
-        backend, which seeds the cache under exactly this key."""
+        block assembly as well as the solve.  The sweep prefetch checks
+        it to skip chains that are already solved."""
         return (
             "cs-cq",
             self.params.lam_s,
@@ -280,17 +280,6 @@ class CsCqAnalysis:
     # Chain construction
     # ------------------------------------------------------------------
     def _build_qbd(self) -> QbdProcess:
-        return QbdProcess(**self._build_blocks())
-
-    def _build_blocks(self) -> dict:
-        """Raw (unvalidated) QBD blocks, as :class:`QbdProcess` kwargs.
-
-        Split from :meth:`_build_qbd` so the batched sweep backend can
-        stack the blocks of many load points into tensors without paying
-        for per-point process construction; validation never changes the
-        bytes, so cache keys derived from these arrays match the scalar
-        path's exactly.
-        """
         lam_s, lam_l, mu_s = self.params.lam_s, self.params.lam_l, self.mu_s
         alpha_l, t_mat_l = self._ph_l.alpha, self._ph_l.T
         alpha_n, t_mat_n = self._ph_n1.alpha, self._ph_n1.T
@@ -347,7 +336,7 @@ class CsCqAnalysis:
         down2to1[bn, bn] = mu_s * np.eye(k_n)
         down2to1[wait, bn] = 2.0 * mu_s * alpha_n
 
-        return dict(
+        return QbdProcess(
             boundary_local=[local, local.copy()],
             boundary_up=[up0, up1],
             boundary_down=[down1to0, down2to1],

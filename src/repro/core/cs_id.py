@@ -273,16 +273,6 @@ class CsIdAnalysis:
     # Short-host QBD
     # ------------------------------------------------------------------
     def _build_qbd(self) -> QbdProcess:
-        return QbdProcess(**self._build_blocks())
-
-    def _build_blocks(self) -> dict:
-        """Raw (unvalidated) QBD blocks, as :class:`QbdProcess` kwargs.
-
-        Split from :meth:`_build_qbd` for the batched sweep backend (see
-        :meth:`CsCqAnalysis._build_blocks`): stacking raw blocks skips the
-        per-point process construction while producing byte-identical
-        cache keys.
-        """
         lam_s, lam_l, mu_s = self.params.lam_s, self.params.lam_l, self.mu_s
         alpha_l, t_l = self._ph_l.alpha, self._ph_l.T
         alpha_m, t_m = self._ph_m1.alpha, self._ph_m1.T
@@ -316,7 +306,7 @@ class CsIdAnalysis:
         # Down: the short host always serves its queue.
         a2 = mu_s * c_s * np.eye(m)
 
-        return dict(
+        return QbdProcess(
             boundary_local=[a1.copy()],
             boundary_up=[a0.copy()],
             boundary_down=[a2.copy()],
@@ -336,8 +326,8 @@ class CsIdAnalysis:
         return cached_solution(key, lambda: self._build_qbd().solve())
 
     def _solution_cache_key(self) -> tuple:
-        """``analysis-solution`` cache key (shared with the batched
-        backend, which seeds the cache under exactly this key)."""
+        """``analysis-solution`` cache key (the sweep prefetch checks it to
+        skip chains that are already solved)."""
         return (
             "cs-id",
             self.params.lam_s,

@@ -116,10 +116,9 @@ def _policy_point_values(
     """All three policies' mean response time at one load point.
 
     The single point of truth for all sweep modes: the in-process loops
-    below call it directly, the ``response-point`` orchestration task
-    calls it inside worker subprocesses, and the batched backend
-    (:mod:`repro.perf.batched`) re-evaluates its fallback points through
-    it.  With ``with_diagnostics`` the captured analyses'
+    below call it directly, and the ``response-point`` orchestration task
+    calls it inline or inside worker subprocesses.  With
+    ``with_diagnostics`` the captured analyses'
     :class:`~repro.robustness.SolverDiagnostics` are returned as
     JSON-ready dicts (for the run manifest).
 
@@ -191,19 +190,23 @@ def _sweep_policy_values(
     """Per-policy y-arrays over ``(rho_s, rho_l)`` load pairs.
 
     With a :class:`~repro.orchestration.SweepRunner`, each pair becomes a
-    ``response-point`` sweep point executed in a worker subprocess; a
-    failed, crashed or timed-out point contributes NaN (same contract as
-    the in-process :func:`_safe` path) and the sweep continues.
-    """
-    from ..perf.batched import batched_enabled
+    ``response-point`` sweep point; a failed, crashed or timed-out point
+    contributes NaN (same contract as the in-process :func:`_safe` path)
+    and the sweep continues.
 
+    When the points run in this process (no runner, or ``workers=0``,
+    whose inline points share the figure's cache scope), the row's QBDs
+    are first solved stacked and seeded into that scope
+    (:func:`repro.perf.batched.prefetch_sweep_solutions`).  Worker
+    subprocesses open their own per-point scopes, so a prefetch there
+    would be wasted work.
+    """
+    if runner is None or runner.workers == 0:
+        from ..perf.batched import prefetch_sweep_solutions
+
+        prefetch_sweep_solutions(case, load_pairs, job_class)
     out = {label: np.full(len(load_pairs), np.nan) for label in _POLICY_LABELS}
     if runner is None:
-        if batched_enabled():
-            from ..perf.batched import batched_sweep_values
-
-            values, _ = batched_sweep_values(case, load_pairs, job_class)
-            return values
         for i, (rho_s, rho_l) in enumerate(load_pairs):
             values, _ = _policy_point_values(case.params(rho_s, rho_l), job_class)
             for label in _POLICY_LABELS:
@@ -213,40 +216,6 @@ def _sweep_policy_values(
     from dataclasses import asdict
 
     from ..orchestration.spec import SweepPoint
-
-    if batched_enabled():
-        # One worker call solves a whole slab of points batched; slabs are
-        # sized so every worker gets one.
-        workers = max(1, int(getattr(runner, "workers", 0) or 1))
-        slab = -(-len(load_pairs) // workers)
-        chunks = [
-            (start, [(float(a), float(b)) for a, b in load_pairs[start : start + slab]])
-            for start in range(0, len(load_pairs), slab)
-        ]
-        points = [
-            SweepPoint(
-                task="response-batch",
-                kwargs={
-                    "case": asdict(case),
-                    "pairs": [[rho_s, rho_l] for rho_s, rho_l in pairs],
-                    "job_class": job_class,
-                },
-                label=f"{case.name}/{job_class}/batch[{start}:{start + len(pairs)}]",
-            )
-            for start, pairs in chunks
-        ]
-        for (start, pairs), outcome in zip(chunks, runner.run(points)):
-            if outcome is None or not outcome.ok or not isinstance(outcome.value, dict):
-                continue  # failed/timeout slab: stays NaN, sweep continues
-            rows = outcome.value.get("values", {})
-            for label in _POLICY_LABELS:
-                row = rows.get(label)
-                if row is None:
-                    continue
-                for offset, value in enumerate(row[: len(pairs)]):
-                    if value is not None:
-                        out[label][start + offset] = float(value)
-        return out
 
     points = [
         SweepPoint(
@@ -299,13 +268,6 @@ def response_time_series(
         "experiments.series", case=case.name, job_class=job_class, points=len(pairs)
     ):
         values = _sweep_policy_values(case, pairs, job_class, runner)
-    return _row_series(case, xs, job_class, values)
-
-
-def _row_series(
-    case: WorkloadCase, xs: np.ndarray, job_class: str, values: dict
-) -> tuple[Series, Series, Series]:
-    """Contract-check one row's values and wrap them as plot series."""
     from ..contracts import check_monotone_series, contracts_enabled
 
     if contracts_enabled():
@@ -331,8 +293,6 @@ def _response_panels(
     figure_name: str,
     runner=None,
 ) -> list[Panel]:
-    from ..perf.batched import batched_enabled
-
     # One cache scope per figure: the short- and long-job rows of a case
     # solve the same QBDs, and the busy-period fits are constant along a
     # rho_s sweep, so the scope deduplicates across the whole 2x3 grid.
@@ -347,26 +307,10 @@ def _response_panels(
                 xs = np.asarray(list(rho_s_values), dtype=float)
             for job_class in ("short", "long"):
                 rows.append((case, xs, job_class))
-        if runner is None and batched_enabled():
-            # The batched backend pools every row's QBDs into merged
-            # tensor solves (one per block shape for the whole figure).
-            from ..perf.batched import batched_figure_values
-
-            values_rows = batched_figure_values(
-                [
-                    (case, [(float(rho_s), float(rho_l)) for rho_s in xs], jc)
-                    for case, xs, jc in rows
-                ]
-            )
-            series_rows = [
-                _row_series(case, xs, jc, values)
-                for (case, xs, jc), values in zip(rows, values_rows)
-            ]
-        else:
-            series_rows = [
-                response_time_series(case, xs, rho_l, jc, runner=runner)
-                for case, xs, jc in rows
-            ]
+        series_rows = [
+            response_time_series(case, xs, rho_l, jc, runner=runner)
+            for case, xs, jc in rows
+        ]
         for (case, xs, job_class), series in zip(rows, series_rows):
             panels.append(
                 Panel(
@@ -450,34 +394,14 @@ def figure6_panels(
 
 
 def _figure6_case_panels(rho_s, rho_l_values_short, rho_l_values_long, cases, runner):
-    from ..perf.batched import batched_enabled
-
-    cases = list(cases)
     xs = np.asarray(list(rho_l_values_short), dtype=float)
     xl = np.asarray(list(rho_l_values_long), dtype=float)
     short_pairs = [(float(rho_s), float(rho_l)) for rho_l in xs]
     long_pairs = [(float(rho_s), float(rho_l)) for rho_l in xl]
-    if runner is None and batched_enabled():
-        from ..perf.batched import batched_figure_values
-
-        rows = [(case, short_pairs, "short") for case in cases]
-        rows += [(case, long_pairs, "long") for case in cases]
-        pooled = batched_figure_values(rows)
-        values_by_row = {
-            (case.name, jc): values
-            for (case, _pairs, jc), values in zip(rows, pooled)
-        }
-    else:
-        values_by_row = None
-
-    def _row_values(case, pairs, job_class):
-        if values_by_row is not None:
-            return values_by_row[(case.name, job_class)]
-        return _sweep_policy_values(case, pairs, job_class, runner)
 
     panels = []
     for case in cases:
-        short_values = _row_values(case, short_pairs, "short")
+        short_values = _sweep_policy_values(case, short_pairs, "short", runner)
         panels.append(
             Panel(
                 title=f"Figure 6 ({case.name}) How shorts gain - {case.label()}, rho_s={rho_s:g}",
@@ -491,7 +415,7 @@ def _figure6_case_panels(rho_s, rho_l_values_short, rho_l_values_long, cases, ru
             )
         )
 
-        long_values = _row_values(case, long_pairs, "long")
+        long_values = _sweep_policy_values(case, long_pairs, "long", runner)
         panels.append(
             Panel(
                 title=f"Figure 6 ({case.name}) How longs suffer - {case.label()}, rho_s={rho_s:g}",

@@ -97,9 +97,9 @@ def _assess_trust(
 ) -> tuple[float, float, str]:
     """``(condition_estimate, error_bound, verdict)`` for one solve.
 
-    The batched backend composes the identical quantities from stacked
-    ``condest_1`` calls, so a point evaluated either way carries the
-    bit-identical verdict.
+    The sweep prefetch (:mod:`repro.perf.batched`) composes the identical
+    quantities from stacked ``condest_1`` calls, so a point evaluated
+    either way carries the bit-identical verdict.
     """
     cond_boundary = condest_1(square)
     cond_i_minus_r = condest_1(np.eye(r.shape[0]) - r)
@@ -666,14 +666,14 @@ class QbdSolution:
     ) -> "QbdSolution":
         """Assemble a solution from batched-solver components.
 
-        The batched backend (:mod:`repro.perf.batched`) computes ``sp(R)``,
+        The sweep prefetch (:mod:`repro.perf.batched`) computes ``sp(R)``,
         ``cond(I - R)`` and ``(I - R)^{-1}`` for a whole stack of chains at
         once; this constructor installs them directly instead of re-deriving
         each per point as ``__post_init__`` does.  The caller is responsible
-        for the conditioning gate (batched points with
-        ``cond > CONDITION_WARN`` must go to the scalar path, which owns the
-        warn/raise semantics); the stability gate is re-asserted here so a
-        miscomputed hint can never produce a non-summable tail silently.
+        for the conditioning gate (stacked points with
+        ``cond > CONDITION_WARN`` must go to the per-point path, which owns
+        the warn/raise semantics); the stability gate is re-asserted here so
+        a miscomputed hint can never produce a non-summable tail silently.
         """
         if tail_spectral_radius >= 1.0:
             raise UnstableSystemError(
@@ -862,41 +862,19 @@ class QbdProcess:
 
     def _solution_key(self) -> tuple:
         """Exact-bytes cache key over every block defining this process."""
-        return QbdProcess.solution_key_for_blocks(
-            self.boundary_local,
-            self.boundary_up,
-            self.boundary_down,
+        blocks = (
+            *self.boundary_local,
+            *self.boundary_up,
+            *self.boundary_down,
             self.a0,
             self.a1,
             self.a2,
         )
-
-    @staticmethod
-    def solution_key_for_blocks(
-        boundary_local: Sequence[np.ndarray],
-        boundary_up: Sequence[np.ndarray],
-        boundary_down: Sequence[np.ndarray],
-        a0: np.ndarray,
-        a1: np.ndarray,
-        a2: np.ndarray,
-    ) -> tuple:
-        """The ``qbd-solution`` cache key for raw blocks, without paying for
-        a :class:`QbdProcess` construction (validation never changes the
-        bytes, so the key is identical either way).  The batched backend
-        uses this to seed the cache under the exact scalar keys."""
-        blocks = (
-            *boundary_local,
-            *boundary_up,
-            *boundary_down,
-            a0,
-            a1,
-            a2,
-        )
         return (
-            len(boundary_local),
-            np.asarray(a1).shape[0],
-            tuple(np.asarray(block).shape for block in blocks),
-            b"".join(np.asarray(block).tobytes() for block in blocks),
+            self.b,
+            self.m,
+            tuple(block.shape for block in blocks),
+            b"".join(block.tobytes() for block in blocks),
         )
 
     def _solve_uncached(self) -> QbdSolution:

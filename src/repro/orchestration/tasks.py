@@ -25,7 +25,6 @@ __all__ = [
     "demo_point",
     "oracle_point",
     "replication_point",
-    "response_batch",
     "response_point",
     "validation_point",
 ]
@@ -55,35 +54,6 @@ def response_point(case: dict, rho_s: float, rho_l: float, job_class: str) -> di
         params, job_class, with_diagnostics=True
     )
     return {"values": values, "diagnostics": diagnostics}
-
-
-@register_task("response-batch")
-def response_batch(case: dict, pairs: list, job_class: str) -> dict:
-    """One figure sweep *slab*: a whole run of load points solved batched.
-
-    The batched backend (:mod:`repro.perf.batched`) stacks every point's
-    QBD blocks into tensors, solves them with batched LAPACK calls and
-    evaluates the response-time formulas vectorized over the slab; points
-    its fast path cannot finish bit-faithfully are re-evaluated through
-    the per-point path, so values, NaN semantics, warnings and contract
-    checks match ``response-point`` exactly.  Returns per-policy value
-    *lists* aligned with ``pairs``.
-    """
-    from ..perf.batched import batched_sweep_values
-    from ..workloads import WorkloadCase
-
-    workload = WorkloadCase(**case)
-    load_pairs = [(float(rho_s), float(rho_l)) for rho_s, rho_l in pairs]
-    values, diags = batched_sweep_values(
-        workload, load_pairs, job_class, with_diagnostics=True
-    )
-    diagnostics = {
-        str(i): diag for i, diag in enumerate(diags or []) if diag
-    }
-    return {
-        "values": {label: [float(v) for v in row] for label, row in values.items()},
-        "diagnostics": diagnostics or None,
-    }
 
 
 @register_task("validation-point")

@@ -1,90 +1,54 @@
-"""Batched tensor QBD backend: solve a whole sweep grid in stacked LAPACK calls.
+"""Sweep prefetch: solve a row's QBDs in stacked LAPACK calls, seed the cache.
 
 The figure 4-6 sweeps evaluate the same A0/A1/A2 block structure at every
-grid point; the scalar path pays one Python-loop QBD solve per point.  This
-backend stacks the blocks of an entire sweep row into ``(N, m, m)`` tensors
-and runs the logarithmic-reduction iteration, the R-matrix recovery and the
-boundary solves as batched ``numpy.linalg`` calls over the leading axis
-(:func:`repro.markov.qbd.solve_r_matrix_batched`), with per-point
-convergence masks so slow points keep iterating while converged points
-freeze — per-point iteration counts therefore match the scalar path's.
-The response-time formulas downstream of the solve (Little's law on the
-QBD level, the region-probability setup queue, the long-host cycle and
-the M/G/1 closed forms) are evaluated vectorized over the row as well, so
-a batched sweep never constructs per-point analysis objects on its fast
-path.
+grid point; the per-point path pays one Python-loop QBD solve per point.
+:func:`prefetch_sweep_solutions` builds every point's analysis, stacks the
+analyses' own QBD blocks into ``(N, m, m)`` tensors by shape, and runs the
+logarithmic-reduction iteration, the R-matrix recovery, the boundary
+solves and the trust assessment as batched ``numpy.linalg`` calls over
+the leading axis (:func:`repro.markov.qbd.solve_r_matrix_batched`).  Each
+accepted solution is seeded into the active sweep cache under the keys
+the solver looks up (``qbd-solution`` and ``r-matrix``).  The per-point
+loop then runs unchanged: each analysis still calls
+:meth:`QbdProcess.solve <repro.markov.qbd.QbdProcess.solve>`, which finds
+the seeded solution, and every value, NaN, warning, contract check and
+diagnostic comes from that loop.  The ``analysis-solution`` entry is left
+for the per-point loop to fill, so a fault injected at
+``QbdProcess.solve`` still reaches every point.
 
 Correctness model
 -----------------
 * Batched ``matmul``/``solve``/``inv``/``eigvals``/``cond`` dispatch the
-  identical LAPACK routine per slice, so per-point iterates — and the
-  converged G and R matrices — are bit-identical to the scalar rung-1
-  results.  The stacked block *assembly* mirrors the analyses'
-  ``_build_blocks`` element by element, so cache keys derived from block
-  bytes match the scalar path's exactly.
-* Stability decisions (which points are NaN) replicate the analyses'
-  guard arithmetic operation-for-operation, so the NaN pattern is
-  bit-identical to the scalar sweep.  Downstream value formulas reorder
-  float reductions (batched GEMM vs scalar GEMV), which is the only
-  source of divergence — bounded far below the 1e-10 relative agreement
-  the property suite enforces.
-* Only the first (``logarithmic-reduction``) rung is batched: any point it
-  does not accept (stagnation, residual, boundary imbalance, material
-  negatives, ``sp(R) >= 1``, conditioning, normalization) — and any point
-  whose closed-form guards would raise or warn on the scalar path — falls
-  back to the scalar per-point evaluator
-  (:func:`repro.experiments.figures._policy_point_values`), reproducing
-  degradation, typed errors, contract checks and warnings exactly.
-* Every batched result is deposited in the active sweep cache (and, via
-  the usual write-through, the persistent store) under the **exact keys
-  the scalar path uses** (``analysis-solution``, ``qbd-solution``,
-  ``r-matrix``), so warm runs, ``repro check`` and the bench solver
-  summary are indistinguishable from scalar runs.
-* Fast-path points skip the per-point invariant contracts (their values
-  are instead covered by the batched-vs-scalar property suite and the
-  ``repro check`` oracle); fallback points keep full contract coverage.
-
-Switched on by ``--batched`` on the ``figure``/``bench`` CLIs or the
-``REPRO_BATCHED`` environment variable (which also reaches orchestration
-worker subprocesses).  ``REPRO_BATCHED_STRICT`` turns the
-fail-open safety net (any unexpected fast-path error reverts the row to
-the scalar path) into a hard error for tests.
+  identical LAPACK routine per slice, so a seeded solution is
+  bit-identical to the one the per-point rung-1 solve would compute.
+* Only the first (``logarithmic-reduction``) rung runs stacked, and only
+  solutions that pass every scalar acceptance gate (boundary balance, no
+  material negatives, ``sp(R) < 1``, ``cond(I - R)`` below the warn band,
+  normalization, a ``trusted`` verdict) are seeded.  Anything else stays
+  unseeded and the per-point path runs its full fallback ladder for it,
+  with its typed errors, warnings and degradation.  A LAPACK error inside
+  a stack leaves that whole stack unseeded.
+* Points whose analysis constructor raises (unstable loads, invalid
+  inputs, failed fits) are skipped; the per-point path raises the same
+  error and reports it.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..busy_periods import MG1BusyPeriod, NPlusOneBusyPeriod
-from ..distributions import Exponential, coxian_from_mean_scv
 from ..markov.qbd import QbdSolution, solve_r_matrix_batched
-from ..robustness import RungAttempt, SolverDiagnostics, ensure_finite_scalar
+from ..robustness import RungAttempt, SolverDiagnostics
 from ..robustness.guards import CONDITION_WARN
 from ..robustness.trust import compose_bound, condest_1, trust_verdicts
 from ..telemetry import counter_inc, span
 from .cache import active_cache
 
-__all__ = [
-    "BATCHED_ENV_VAR",
-    "batched_enabled",
-    "batched_figure_values",
-    "batched_sweep_values",
-]
-
-#: Environment variable enabling the batched sweep backend (set by the
-#: ``--batched`` CLI flag; crosses the worker process boundary).
-BATCHED_ENV_VAR = "REPRO_BATCHED"
-
-#: When set, fast-path implementation errors raise instead of silently
-#: reverting the row to the scalar path (used by the test suite).
-STRICT_ENV_VAR = "REPRO_BATCHED_STRICT"
-
-_FALSEY = {"", "0", "false", "no", "off"}
+__all__ = ["prefetch_sweep_solutions"]
 
 #: Defaults of the scalar R-matrix ladder entry point — part of the
 #: ``r-matrix`` cache key, so they must match
@@ -93,862 +57,64 @@ _R_TOL = 1e-13
 _R_MAX_ITER = 200
 
 
-def batched_enabled() -> bool:
-    """True when the batched backend is on (``--batched`` / ``REPRO_BATCHED``)."""
-    return os.environ.get(BATCHED_ENV_VAR, "").strip().lower() not in _FALSEY
+def prefetch_sweep_solutions(
+    case, load_pairs: Sequence[tuple[float, float]], job_class: str
+) -> None:
+    """Seed the active sweep cache with one row's QBD solutions.
 
-
-def _strict() -> bool:
-    return os.environ.get(STRICT_ENV_VAR, "").strip().lower() not in _FALSEY
-
-
-class _FallbackTracker(set):
-    """Fallback index set that remembers *why* each point fell back.
-
-    Every batched→scalar fallback used to be invisible unless
-    ``REPRO_BATCHED_STRICT`` was set; the tracker attributes each fallback
-    to a reason so the sweep span and the ``batched.fallback.<reason>``
-    counters can surface them (and the bench solver summary can total
-    them).  A point keeps its *first* reason — later, coarser rejections
-    of an already-fallen-back point add nothing.
+    Builds the analyses the per-point evaluation of ``job_class`` will
+    build (CS-ID and CS-CQ for short rows, CS-CQ for long rows), skips
+    those already in the cache, and solves the rest stacked.  A no-op
+    outside a :func:`~repro.perf.sweep_cache` scope.
     """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.reasons: dict[str, int] = {}
-
-    def note(self, indices, reason: str) -> None:
-        fresh = [int(i) for i in indices if int(i) not in self]
-        if fresh:
-            self.reasons[reason] = self.reasons.get(reason, 0) + len(fresh)
-            self.update(fresh)
-
-
-def _note_fallback(fb: set, index: int, reason: str) -> None:
-    """Add to a fallback set, recording the reason when it tracks them."""
-    if isinstance(fb, _FallbackTracker):
-        fb.note([index], reason)
-    else:
-        fb.add(index)
-
-
-def _fallback_reasons(fallback: set) -> "dict[str, int]":
-    """Reason histogram for one row's fallbacks.
-
-    A plain set (the whole-row fail-open path) attributes everything to
-    ``fast-path-error``, matching what actually happened.
-    """
-    reasons = getattr(fallback, "reasons", None)
-    if reasons:
-        return dict(sorted(reasons.items()))
-    return {"fast-path-error": len(fallback)} if fallback else {}
-
-
-def _count_fallback_reasons(reasons: "dict[str, int]") -> None:
-    for reason, count in reasons.items():
-        counter_inc(f"batched.fallback.{reason}", count)
-
-
-def batched_sweep_values(
-    case,
-    load_pairs: Sequence[tuple[float, float]],
-    job_class: str,
-    with_diagnostics: bool = False,
-) -> tuple[dict[str, np.ndarray], Optional[list]]:
-    """All three policies' mean response times over one sweep row, batched.
-
-    Returns ``(values, diagnostics)``: ``values`` maps policy labels to
-    float arrays aligned with ``load_pairs`` (NaN beyond stability
-    boundaries, exactly as the scalar sweep); ``diagnostics`` is a
-    per-point list of ``{label: SolverDiagnostics.as_dict()}`` (or None
-    entries) when requested, else None.
-
-    Points the fast path cannot finish bit-faithfully — non-converged
-    QBDs, near-boundary conditioning, degenerate closed forms — are
-    re-evaluated by the scalar per-point path, which reproduces the exact
-    scalar errors, warnings, degradations and contract checks.
-    """
-    from ..experiments.figures import _POLICY_LABELS, _policy_point_values
-
     cache = active_cache()
-    n = len(load_pairs)
-    out = {label: np.full(n, np.nan) for label in _POLICY_LABELS}
-    diags: list = [None] * n
+    if cache is None:
+        return
+    from ..core import CsCqAnalysis, CsIdAnalysis
+
+    classes = (CsIdAnalysis, CsCqAnalysis) if job_class == "short" else (CsCqAnalysis,)
+    stacks: dict[tuple, list] = {}
+    pending: set = set()
     with span(
-        "perf.batched.sweep",
-        case=getattr(case, "name", ""),
-        job_class=job_class,
-        points=n,
-    ) as sweep_span:
-        pool = _SolvePool(cache)
-        try:
-            finish = _fast_sweep(
-                case,
-                load_pairs,
-                job_class,
-                out,
-                diags if with_diagnostics else None,
-                cache,
-                pool,
-            )
-            pool.flush()
-            fallback, solved = finish()
-        except Exception:
-            if _strict():
-                raise
-            counter_inc("batched.fast_path_errors")
-            fallback, solved = set(range(n)), 0
-        for i in sorted(fallback):
-            rho_s_i, rho_l_i = load_pairs[i]
-            values, diag = _policy_point_values(
-                case.params(rho_s_i, rho_l_i),
-                job_class,
-                with_diagnostics=with_diagnostics,
-            )
-            for label in _POLICY_LABELS:
-                out[label][i] = values[label]
-            if with_diagnostics:
-                diags[i] = diag
-        if with_diagnostics:
-            # Scalar parity: labels whose value is closed-form (Dedicated,
-            # CS-ID longs, saturated CS-CQ longs) carry the synthesized
-            # trusted record, exactly as _policy_point_values emits.
-            from ..experiments.figures import _closed_form_diagnostics
-
-            closed = _closed_form_diagnostics().as_dict()
-            for i in range(n):
-                slot = diags[i] or {}
-                for label in _POLICY_LABELS:
-                    if label not in slot and np.isfinite(out[label][i]):
-                        slot[label] = dict(closed)
-                diags[i] = slot or None
-        sweep_span.set("solved", solved)
-        sweep_span.set("fallback", len(fallback))
-        reasons = _fallback_reasons(fallback)
-        if reasons:
-            sweep_span.set("fallback_reasons", reasons)
-            _count_fallback_reasons(reasons)
-        counter_inc("batched.points", n)
-        if solved:
-            counter_inc("batched.solved", solved)
-        if fallback:
-            counter_inc("batched.fallback", len(fallback))
-    return out, (diags if with_diagnostics else None)
-
-
-def batched_figure_values(
-    case_rows: Sequence[tuple],
-) -> "list[dict[str, np.ndarray]]":
-    """Solve many sweep rows through one shared QBD pool.
-
-    ``case_rows`` is ``[(case, load_pairs, job_class), ...]`` — typically
-    every row of one figure, inside one cache scope.  All rows' pending
-    QBDs are pooled and solved in merged ``(N, m, m)`` stacks (one batched
-    logarithmic-reduction sweep per block shape instead of one per row),
-    then each row's closed forms are finished from the shared solutions.
-    Values, NaN patterns, fallbacks and cache seeding are identical to
-    calling :func:`batched_sweep_values` row by row — the pool only
-    changes how the LAPACK work is grouped.
-    """
-    from ..experiments.figures import _POLICY_LABELS, _policy_point_values
-
-    cache = active_cache()
-    pool = _SolvePool(cache)
-    rows: list = []
-    results: list = []
-    with span("perf.batched.figure", rows=len(case_rows)) as fig_span:
-        for case, load_pairs, job_class in case_rows:
-            n = len(load_pairs)
-            out = {label: np.full(n, np.nan) for label in _POLICY_LABELS}
-            try:
-                finish = _fast_sweep(
-                    case, load_pairs, job_class, out, None, cache, pool
-                )
-            except Exception:
-                if _strict():
-                    raise
-                counter_inc("batched.fast_path_errors")
-                finish = None
-            rows.append((case, load_pairs, job_class, out, finish))
-        pool.flush()
-        total_solved = total_fallback = 0
-        total_reasons: dict[str, int] = {}
-        for case, load_pairs, job_class, out, finish in rows:
-            n = len(load_pairs)
-            if finish is None:
-                fallback, solved = set(range(n)), 0
-            else:
+        "perf.prefetch", case=getattr(case, "name", ""), job_class=job_class
+    ) as prefetch_span:
+        for rho_s, rho_l in load_pairs:
+            for cls in classes:
                 try:
-                    fallback, solved = finish()
-                except Exception:
-                    if _strict():
-                        raise
-                    counter_inc("batched.fast_path_errors")
-                    fallback, solved = set(range(n)), 0
-            for i in sorted(fallback):
-                rho_s_i, rho_l_i = load_pairs[i]
-                values, _ = _policy_point_values(
-                    case.params(rho_s_i, rho_l_i), job_class
-                )
-                for label in _POLICY_LABELS:
-                    out[label][i] = values[label]
-            counter_inc("batched.points", n)
-            if solved:
-                counter_inc("batched.solved", solved)
-            if fallback:
-                counter_inc("batched.fallback", len(fallback))
-            row_reasons = _fallback_reasons(fallback)
-            _count_fallback_reasons(row_reasons)
-            for reason, count in row_reasons.items():
-                total_reasons[reason] = total_reasons.get(reason, 0) + count
-            total_solved += solved
-            total_fallback += len(fallback)
-            results.append(out)
-        fig_span.set("solved", total_solved)
-        fig_span.set("fallback", total_fallback)
-        if total_reasons:
-            fig_span.set("fallback_reasons", dict(sorted(total_reasons.items())))
-    return results
-
-
-def _fast_sweep(case, load_pairs, job_class: str, out, diags, cache, pool):
-    """Vectorized row evaluation, in two stages around the shared pool.
-
-    Runs the row's guard masks and closed forms, registers the row's QBD
-    solves with ``pool``, and returns a ``finish()`` callable that — once
-    the pool has flushed — consumes the solutions, fills ``out`` and
-    returns ``(fallback indices, #QBDs solved)``.
-
-    Every mask below replicates a guard of the scalar path with the same
-    arithmetic in the same order, so fast/scalar stability decisions are
-    bit-identical; points whose scalar path would raise *unexpected*
-    errors (crashes, warnings, degradations) are routed to ``fallback``.
-
-    ``SystemParameters`` construction is mirrored, not performed: the same
-    validations, the same distribution constructors (once per row instead
-    of once per point) and the same ``rho / mean`` divisions produce lam
-    vectors bit-identical to ``from_loads``'s per-point fields, so every
-    block byte and cache key derived from them matches the scalar path's.
-    Real params objects are built only for fallback points.
-    """
-    from ..experiments.figures import _POLICY_LABELS
-
-    n = len(load_pairs)
-    mean_short = ensure_finite_scalar(case.mean_short, "mean_short")
-    mean_long = ensure_finite_scalar(case.mean_long, "mean_long")
-    shorts = (
-        Exponential.from_mean(mean_short)
-        if case.short_scv == 1.0
-        else coxian_from_mean_scv(mean_short, case.short_scv)
-    )
-    longs = (
-        Exponential.from_mean(mean_long)
-        if case.long_scv == 1.0
-        else coxian_from_mean_scv(mean_long, case.long_scv)
-    )
-    if not isinstance(shorts, Exponential):
-        # params.mu_s raises TypeError on the scalar path; the outer
-        # safety net reverts the whole row to per-point evaluation.
-        raise TypeError("batched fast path requires exponential short service")
-    mu_s = shorts.rate
-    short_mean, short_m2 = shorts.mean, shorts.moment(2)
-    long_mean, long_m2 = longs.mean, longs.moment(2)
-    longs_token = (float(case.mean_long), float(case.long_scv), float(mu_s))
-
-    rho_s_in = np.array([pair[0] for pair in load_pairs], dtype=float)
-    rho_l_in = np.array([pair[1] for pair in load_pairs], dtype=float)
-    label_ded, label_csid, label_cscq = _POLICY_LABELS
-    fallback = _FallbackTracker()
-    solved = 0
-    # from_loads rejects NaN/inf/negative loads with a typed ValidationError;
-    # route such points through the real constructor so it raises exactly.
-    invalid = ~(
-        np.isfinite(rho_s_in)
-        & (rho_s_in >= 0.0)
-        & np.isfinite(rho_l_in)
-        & (rho_l_in >= 0.0)
-    )
-    fallback.note(np.flatnonzero(invalid), "invalid-loads")
-    with np.errstate(all="ignore"):
-        lam_s = rho_s_in / mean_short  # == from_loads' lam_s, bit for bit
-        lam_l = rho_l_in / mean_long
-        rho_s = lam_s * short_mean  # == params.rho_s, same product
-        rho_l = lam_l * long_mean  # == params.rho_l
-
-    if job_class == "short":
-        # lam_s == 0 raises a bare ValueError in the scalar response-time
-        # accessors; reproduce by letting the scalar path handle it.
-        fallback.note(np.flatnonzero(lam_s <= 0.0), "degenerate-rates")
-        with np.errstate(all="ignore"):
-            # Dedicated: two independent M/G/1s (either host unstable -> NaN).
-            ded = short_mean + lam_s * short_m2 / (2.0 * (1.0 - rho_s))
-            out[label_ded][:] = np.where((rho_s < 1.0) & (rho_l < 1.0), ded, np.nan)
-
-            # CS-ID long-host cycle, mirroring LongHostCycle (c_s = c_l = 1).
-            sum_rates = lam_s + lam_l
-            q = np.where(sum_rates > 0.0, lam_s / sum_rates, 0.0)
-            one_minus = 1.0 - rho_l
-            free = 1.0 / sum_rates
-            short_branch = short_mean + np.where(
-                lam_l > 0.0, lam_l * short_mean * long_mean / one_minus, 0.0
-            )
-            long_branch = np.where(lam_l > 0.0, long_mean / one_minus, 0.0)
-            mean_cycle = free + q * short_branch + (1.0 - q) * long_branch
-            p_idle = np.where(sum_rates == 0.0, 1.0, free / mean_cycle)
-            p_busy = 1.0 - p_idle
-            csid_ok = (rho_l < 1.0) & (lam_s * p_busy * short_mean < 1.0)
-            cscq_ok = (rho_l < 1.0) & (rho_s < 2.0 - rho_l)
-
-        live = np.ones(n, dtype=bool)
-        live[list(fallback)] = False
-        csid_entries = pool.request(
-            "cs-id",
-            np.flatnonzero(csid_ok & live),
-            lam_s,
-            lam_l,
-            longs,
-            longs_token,
-            mu_s,
-            fallback,
-        )
-        cscq_entries = pool.request(
-            "cs-cq",
-            np.flatnonzero(cscq_ok & live),
-            lam_s,
-            lam_l,
-            longs,
-            longs_token,
-            mu_s,
-            fallback,
-        )
-
-        def finish_short() -> tuple[set[int], int]:
-            solved = sum(not hit for _, _, hit in csid_entries + cscq_entries)
-            mean_n = np.full(n, np.nan)
-            for idx, levels in _mean_levels(csid_entries):
-                mean_n[idx] = levels
-            with np.errstate(all="ignore"):
-                rate = lam_s * (1.0 - p_idle)
-                csid_val = p_idle * short_mean + (1.0 - p_idle) * (mean_n / rate)
-                csid_val = np.where(rate > 0.0, csid_val, short_mean)
-                out[label_csid][:] = np.where(csid_ok, csid_val, np.nan)
-
-                mean_n_cq = np.full(n, np.nan)
-                for idx, levels in _mean_levels(cscq_entries):
-                    mean_n_cq[idx] = levels
-                out[label_cscq][:] = np.where(cscq_ok, mean_n_cq / lam_s, np.nan)
-
-            if diags is not None:
-                _collect_diags(diags, label_csid, csid_entries)
-                _collect_diags(diags, label_cscq, cscq_entries)
-            return fallback, solved
-
-        return finish_short
-
-    # ------------------------------------------------------------------
-    # Long rows
-    # ------------------------------------------------------------------
-    # rho_l >= 1 crashes the scalar Dedicated entry (bare ValueError from
-    # Mg1Queue); lam_l <= 0 crashes the CS-CQ accessor.  Both are sweep
-    # construction errors, not data: reproduce them scalar.
-    fallback.note(np.flatnonzero(rho_l >= 1.0), "degenerate-rates")
-    fallback.note(np.flatnonzero(lam_l <= 0.0), "degenerate-rates")
-    from ..core.cs_id import caught_short_remainder_moments
-
-    with np.errstate(all="ignore"):
-        ded = long_mean + lam_l * long_m2 / (2.0 * (1.0 - rho_l))
-        out[label_ded][:] = np.where(rho_l < 1.0, ded, np.nan)
-
-        # CS-ID longs: the autonomous host cycle's M/G/1-with-setup.
-        sum_rates = lam_s + lam_l
-        q = np.where(sum_rates > 0.0, lam_s / sum_rates, 0.0)
-        p_caught = np.zeros(n)
-        rem_m1 = np.zeros(n)
-        rem_m2 = np.zeros(n)
-        pk = lam_l * long_m2 / (2.0 * (1.0 - rho_l))
-
-        for value in np.unique(lam_l[lam_l > 0.0]):
-            sel = lam_l == value
-            p_caught[sel] = 1.0 - float(shorts.laplace(float(value)).real)
-
-        denom = 1.0 - q * (1.0 - p_caught)
-        fallback.note(np.flatnonzero(denom <= 0.0), "degenerate-rates")
-        p_zero = np.where(denom > 0.0, (1.0 - q) / denom, np.nan)
-        need_rem = (lam_l > 0.0) & (denom > 0.0) & (p_zero < 1.0)
-        for value in np.unique(lam_l[need_rem]):
-            sel = need_rem & (lam_l == value)
-            try:
-                m1, m2, _ = caught_short_remainder_moments(shorts, float(value))
-            except Exception:
-                fallback.note(np.flatnonzero(sel), "remainder-moments")
-                continue
-            rem_m1[sel] = m1
-            rem_m2[sel] = m2
-
-        weight = 1.0 - p_zero
-        sm1 = np.where(need_rem, weight * rem_m1, 0.0)
-        sm2 = np.where(need_rem, weight * rem_m2, 0.0)
-        # Mg1SetupQueue's moment-feasibility gate raises on the scalar path.
-        infeasible = (sm1 > 0.0) & (sm2 < sm1**2 * (1 - 1e-9))
-        fallback.note(np.flatnonzero(infeasible), "infeasible-moments")
-        setup = np.where(
-            (sm1 == 0.0) & (sm2 == 0.0),
-            0.0,
-            (2.0 * sm1 + lam_l * sm2) / (2.0 * (1.0 + lam_l * sm1)),
-        )
-        out[label_csid][:] = np.where(rho_l < 1.0, long_mean + (pk + setup), np.nan)
-
-        # CS-CQ longs: saturated closed form beyond the short boundary ...
-        nu = 2.0 * mu_s
-        sat_sm1 = 1.0 / nu
-        sat_sm2 = 2.0 / (nu * nu)
-        sat_setup = (2.0 * sat_sm1 + lam_l * sat_sm2) / (
-            2.0 * (1.0 + lam_l * sat_sm1)
-        )
-        cscq_stable = (rho_s < 2.0 - rho_l) & (rho_l < 1.0)
-        cscq_sat = ~(rho_s < 2.0 - rho_l) & (rho_l < 1.0)
-        out[label_cscq][:] = np.where(cscq_sat, long_mean + (pk + sat_setup), np.nan)
-
-    # ... and the solved chain's region-probability setup queue inside it.
-    live = np.ones(n, dtype=bool)
-    live[list(fallback)] = False
-    entries = pool.request(
-        "cs-cq",
-        np.flatnonzero(cscq_stable & live),
-        lam_s,
-        lam_l,
-        longs,
-        longs_token,
-        mu_s,
-        fallback,
-    )
-
-    def finish_long() -> tuple[set[int], int]:
-        solved = sum(not hit for _, _, hit in entries)
-        for idx, region1, region2 in _region_probabilities(entries):
-            with np.errstate(all="ignore"):
-                total = region1 + region2
-                bad = total <= 0.0  # NumericalError -> warning, scalar path
-                fallback.note(idx[bad], "bad-region-totals")
-                p_zero = region1 / total
-                q2 = 1.0 - p_zero
-                sm1 = q2 / nu
-                sm2 = 2.0 * q2 / (nu * nu)
-                infeasible = (sm1 > 0.0) & (sm2 < sm1**2 * (1 - 1e-9))
-                fallback.note(idx[infeasible], "infeasible-moments")
-                setup = np.where(
-                    (sm1 == 0.0) & (sm2 == 0.0),
-                    0.0,
-                    (2.0 * sm1 + lam_l[idx] * sm2)
-                    / (2.0 * (1.0 + lam_l[idx] * sm1)),
-                )
-                out[label_cscq][idx] = long_mean + (pk[idx] + setup)
-        if diags is not None:
-            _collect_diags(diags, label_cscq, entries)
-        return fallback, solved
-
-    return finish_long
-
-
-def _collect_diags(diags: list, label: str, entries: list) -> None:
-    """Per-point diagnostics dicts, mirroring the scalar captured-analysis
-    payload (cache hits marked exactly as :func:`cached_solution` marks
-    them)."""
-    for i, solution, hit in entries:
-        diag = solution.diagnostics
-        if diag is None:
-            continue
-        if hit:
-            diag = replace(diag, cache_hit=True)
-        slot = diags[i] or {}
-        slot[label] = diag.as_dict()
-        diags[i] = slot
-
-
-# ----------------------------------------------------------------------
-# Solution-level vector math
-# ----------------------------------------------------------------------
-def _grouped_solutions(entries: list) -> dict:
-    """Group ``(index, solution, hit)`` entries by stackable shape."""
-    groups: dict[tuple, list] = {}
-    for i, solution, _ in entries:
-        key = (
-            solution.first_repeating_level,
-            solution.r_matrix.shape[0],
-            tuple(v.shape[0] for v in solution.boundary_pi),
-        )
-        groups.setdefault(key, []).append((i, solution))
-    return groups
-
-
-def _mean_levels(entries: list):
-    """Yield ``(indices, E[level])`` over shape-homogeneous stacks.
-
-    Mirrors :meth:`QbdSolution.mean_level`:
-    ``sum_i i pi_i 1 + b pi_b (I-R)^{-1} 1 + pi_b R (I-R)^{-2} 1``.
-    """
-    for (b, _m, _dims), items in _grouped_solutions(entries).items():
-        idx = np.array([i for i, _ in items])
-        pi_b = np.stack([s.pi_repeat for _, s in items])[:, None, :]
-        inv = np.stack([s._i_minus_r_inv for _, s in items])
-        r = np.stack([s.r_matrix for _, s in items])
-        total = b * (pi_b @ inv)[:, 0, :].sum(axis=1)
-        total += ((pi_b @ r) @ inv @ inv)[:, 0, :].sum(axis=1)
-        for level in range(1, b):
-            total += level * np.array(
-                [float(s.boundary_pi[level].sum()) for _, s in items]
-            )
-        yield idx, total
-
-
-def _region_probabilities(entries: list):
-    """Yield ``(indices, region1, region2)`` per stack (CS-CQ longs).
-
-    Region 1 is the ZERO_L mass of boundary levels 0 and 1; region 2 is
-    the ZERO_L component of the repeating phase marginal
-    ``pi_b (I-R)^{-1}`` (mirrors :meth:`CsCqAnalysis.region_probabilities`).
-    """
-    for (_b, _m, _dims), items in _grouped_solutions(entries).items():
-        idx = np.array([i for i, _ in items])
-        pi_b = np.stack([s.pi_repeat for _, s in items])[:, None, :]
-        inv = np.stack([s._i_minus_r_inv for _, s in items])
-        region1 = np.array(
-            [float(s.boundary_pi[0][0] + s.boundary_pi[1][0]) for _, s in items]
-        )
-        region2 = (pi_b @ inv)[:, 0, 0]
-        yield idx, region1, region2
-
-
-# ----------------------------------------------------------------------
-# QBD solve plumbing
-# ----------------------------------------------------------------------
-class _PendingQbd:
-    """One pending QBD solve, possibly shared by several sweep points.
-
-    ``receivers`` lists the ``(point index, entries list, fallback set)``
-    triples of every row/point waiting on this solve; the first receiver
-    registered the miss (``cache_hit=False``), later ones mirror the
-    scalar path's subsequent cache hits.
-    """
-
-    __slots__ = ("key", "fits", "lam_s", "lam_l", "mu_s", "receivers")
-
-    def __init__(
-        self, key: tuple, fits: dict, lam_s: float, lam_l: float, mu_s: float
-    ):
-        self.key = key
-        self.fits = fits
-        self.lam_s = lam_s
-        self.lam_l = lam_l
-        self.mu_s = mu_s
-        self.receivers: list = []
-
-
-class _SolvePool:
-    """Cross-row QBD solve pool for one cache scope.
-
-    Rows register the QBD solves they need (:meth:`request`); the pool
-    dedups them by exact cache key, groups them by block shape, and
-    :meth:`flush` solves each group in one merged ``(N, m, m)`` stack.
-    Merging rows changes only how LAPACK calls are grouped — every slice
-    still runs the identical per-point arithmetic — so results are
-    bit-identical to per-row solving, while the Python/dispatch overhead
-    of the logarithmic-reduction loop is paid once per shape instead of
-    once per row.
-    """
-
-    def __init__(self, cache):
-        self.cache = cache
-        self._by_key: dict = {}
-        self._groups: dict[tuple, list[_PendingQbd]] = {}
-
-    def request(
-        self,
-        kind: str,
-        indices: np.ndarray,
-        lam_s: np.ndarray,
-        lam_l: np.ndarray,
-        long_service,
-        longs_token: tuple,
-        mu_s: float,
-        fallback: set,
-    ) -> list:
-        """Register the ``kind`` QBD at each index; returns a live entries
-        list (``[(index, QbdSolution, cache_hit)]``) completed by
-        :meth:`flush`.  Cache hits resolve immediately; fit failures land
-        in ``fallback``."""
-        entries: list = []
-        if indices.size == 0:
-            return entries
-        # lam_l is constant (or piecewise constant) along figure rows, so
-        # consecutive points almost always reuse the previous fits.
-        prev_lam_l: "float | None" = None
-        fits = None
-        for i in indices:
-            i = int(i)
-            ll = float(lam_l[i])
-            if ll != prev_lam_l:
-                fits = _fits(kind, ll, long_service, longs_token, mu_s)
-                prev_lam_l = ll
-            if fits is None:
-                _note_fallback(fallback, i, "fit-failure")
-                continue
-            # float() everywhere a numpy scalar would otherwise enter the
-            # key: np.float64 encodes differently from float in the
-            # persistent store's digest, and the scalar analyses key
-            # plain floats.
-            ls = float(lam_s[i])
-            key = _solution_cache_key(kind, ls, ll, mu_s, fits)
-            item = self._by_key.get(key)
-            if item is None:
-                if self.cache is not None:
-                    found, value = self.cache.lookup("analysis-solution", key)
-                    if found and isinstance(value, QbdSolution):
-                        entries.append((i, value, True))
+                    analysis = cls(case.params(rho_s, rho_l))
+                    if cache.contains(
+                        "analysis-solution", analysis._solution_cache_key()
+                    ):
                         continue
-                item = _PendingQbd(key, fits, ls, ll, mu_s)
-                self._by_key[key] = item
-                sig = (kind, len(fits["ph_a"].alpha), len(fits["ph_b"].alpha))
-                self._groups.setdefault(sig, []).append(item)
-            elif self.cache is not None:
-                # Deduped against an in-flight pending solve: on the
-                # scalar path this point would have been a memory hit, so
-                # count it as one (the first requester counted the miss).
-                self.cache.record_hit("analysis-solution")
-            item.receivers.append((i, entries, fallback))
-        return entries
-
-    def flush(self) -> None:
-        """Solve every pending group in one merged stack each."""
-        groups, self._groups, self._by_key = self._groups, {}, {}
-        for (kind, _ka, _kb), items in groups.items():
+                    process = analysis._build_qbd()
+                except Exception:  # noqa: BLE001
+                    # The per-point evaluation re-runs this constructor and
+                    # owns the error: NaN plus warning, a failed point
+                    # status, or the crash an in-process sweep would see.
+                    continue
+                key = process._solution_key()
+                if key in pending:
+                    continue
+                pending.add(key)
+                # (b, m, block shapes): the stackable identity of a chain.
+                stacks.setdefault(key[:3], []).append((key, process))
+        seeded = 0
+        for items in stacks.values():
             try:
-                _solve_pending(kind, items, self.cache)
-            except Exception:
-                if _strict():
-                    raise
-                counter_inc("batched.fast_path_errors")
-                for item in items:
-                    for i, _entries, fb in item.receivers:
-                        _note_fallback(fb, i, "fast-path-error")
-
-
-#: Process-wide busy-period fit memo, keyed purely by input values.  The
-#: fit pipeline is a deterministic pure function of ``(kind, lam_l,
-#: mean_long, long_scv, mu_s)``, so entries never go stale; sharing the
-#: memo across sweep scopes skips the per-scope recompute the scalar path
-#: pays.  The persistent ``ph-fit``/``busy-moments`` namespaces still see
-#: every distinct fit once per process (first scope), so a store run
-#: accumulates the same entry digests either way.
-_FITS_CACHE: dict = {}
-_FITS_CACHE_LIMIT = 4096
-
-
-def _fits(kind: str, lam_l: float, long_service, longs_token: tuple, mu_s: float):
-    """Busy-period PH fits for one ``lam_l``, memoized process-wide.
-
-    Mirrors the analyses' ``__init__`` fits exactly (the ``ph-fit`` /
-    ``busy-moments`` cache namespaces make repeats cheap); a fit failure
-    returns None so the affected points fall back to the scalar path's
-    exact error handling.  The memo token is value-based — ``long_service``
-    is rebuilt per row by the same deterministic constructor, so equal
-    tokens mean bit-identical fit inputs across rows.
-    """
-    memo = _FITS_CACHE
-    token = (kind, lam_l, *longs_token)
-    if token in memo:
-        return memo[token]
-    if len(memo) >= _FITS_CACHE_LIMIT:
-        memo.clear()
-    try:
-        if kind == "cs-cq":
-            ph_a = fit_busy_period(
-                MG1BusyPeriod(lam_l, long_service).moments(), 3
-            ).as_phase_type()
-            ph_b = fit_busy_period(
-                NPlusOneBusyPeriod(
-                    lam_l, long_service, freeing_rate=2.0 * mu_s
-                ).moments(),
-                3,
-            ).as_phase_type()
-        elif lam_l > 0.0:
-            ph_a = fit_busy_period(
-                MG1BusyPeriod(lam_l, long_service).moments(), 3
-            ).as_phase_type()
-            ph_b = fit_busy_period(
-                NPlusOneBusyPeriod(
-                    lam_l, long_service, freeing_rate=mu_s * 1.0
-                ).moments(),
-                3,
-            ).as_phase_type()
-        else:
-            ph_a = Exponential(1.0).as_phase_type()  # unreachable filler
-            ph_b = Exponential(1.0).as_phase_type()
-    except Exception:
-        memo[token] = None
-        return None
-    fits = {
-        "ph_a": ph_a,
-        "ph_b": ph_b,
-        "key_bytes": (
-            ph_a.alpha.tobytes(),
-            ph_a.T.tobytes(),
-            ph_b.alpha.tobytes(),
-            ph_b.T.tobytes(),
-        ),
-    }
-    memo[token] = fits
-    return fits
-
-
-def _solution_cache_key(
-    kind: str, lam_s: float, lam_l: float, mu_s: float, fits: dict
-) -> tuple:
-    """The exact ``analysis-solution`` key of the matching analysis class."""
-    if kind == "cs-cq":
-        return ("cs-cq", lam_s, lam_l, mu_s, *fits["key_bytes"])
-    return (
-        "cs-id",
-        lam_s,
-        lam_l,
-        mu_s,
-        (1.0, 1.0),
-        *fits["key_bytes"],
-    )
-
-
-def _stacked_blocks(kind: str, items: list) -> dict:
-    """Stacked ``(N, ., .)`` block tensors for one shape-homogeneous group.
-
-    Fit-homogeneous sub-runs are built vectorized and concatenated; every
-    slice is element-for-element the matching analysis'
-    ``_build_blocks`` output, so per-point byte keys match exactly.
-    """
-    builder = _cs_cq_blocks if kind == "cs-cq" else _cs_id_blocks
-    stacks = []
-    start = 0
-    while start < len(items):
-        stop = start
-        fits = items[start].fits
-        while stop < len(items) and items[stop].fits is fits:
-            stop += 1
-        run = items[start:stop]
-        run_lam_s = np.array([it.lam_s for it in run])
-        stacks.append(
-            builder(run_lam_s, run[0].lam_l, run[0].mu_s, fits["ph_a"], fits["ph_b"])
-        )
-        start = stop
-    if len(stacks) == 1:
-        return stacks[0]
-    merged = {}
-    for name in ("a0", "a1", "a2"):
-        merged[name] = np.concatenate([s[name] for s in stacks])
-    for name in ("boundary_local", "boundary_up", "boundary_down"):
-        levels = len(stacks[0][name])
-        merged[name] = [
-            np.concatenate([s[name][lvl] for s in stacks]) for lvl in range(levels)
-        ]
-    return merged
-
-
-def _cs_cq_blocks(lam_s: np.ndarray, lam_l: float, mu_s: float, ph_l, ph_n1) -> dict:
-    """Stacked :meth:`CsCqAnalysis._build_blocks` over a ``lam_s`` vector."""
-    alpha_l, t_l, exit_l = ph_l.alpha, ph_l.T, ph_l.exit_rates
-    alpha_n, t_n, exit_n = ph_n1.alpha, ph_n1.T, ph_n1.exit_rates
-    k_l, k_n = len(alpha_l), len(alpha_n)
-    mb = 1 + k_l + k_n
-    m = mb + 1
-    wait = m - 1
-    bl = slice(1, 1 + k_l)
-    bn = slice(1 + k_l, 1 + k_l + k_n)
-
-    def ph_internal(block: np.ndarray) -> None:
-        block[bl, bl] += t_l - np.diag(np.diag(t_l))
-        block[bn, bn] += t_n - np.diag(np.diag(t_n))
-        block[bl, 0] += exit_l
-        block[bn, 0] += exit_n
-
-    a1 = np.zeros((m, m))
-    ph_internal(a1)
-    a1[0, wait] = lam_l
-
-    a2 = np.zeros((m, m))
-    a2[0, 0] = 2.0 * mu_s
-    a2[bl, bl] = mu_s * np.eye(k_l)
-    a2[bn, bn] = mu_s * np.eye(k_n)
-    a2[wait, bn] = 2.0 * mu_s * alpha_n
-
-    local = np.zeros((mb, mb))
-    ph_internal(local)
-    local[0, bl] = lam_l * alpha_l
-
-    down1to0 = np.zeros((mb, mb))
-    down1to0[0, 0] = mu_s
-    down1to0[bl, bl] = mu_s * np.eye(k_l)
-    down1to0[bn, bn] = mu_s * np.eye(k_n)
-
-    down2to1 = np.zeros((m, mb))
-    down2to1[0, 0] = 2.0 * mu_s
-    down2to1[bl, bl] = mu_s * np.eye(k_l)
-    down2to1[bn, bn] = mu_s * np.eye(k_n)
-    down2to1[wait, bn] = 2.0 * mu_s * alpha_n
-
-    k = lam_s.size
-    ls = lam_s[:, None, None]
-    a0 = ls * np.eye(m)
-    up0 = ls * np.eye(mb)
-    up1 = np.zeros((k, mb, m))
-    up1[:, :, :mb] = ls * np.eye(mb)
-
-    def rep(mat: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(mat, (k,) + mat.shape)
-
-    return dict(
-        boundary_local=[rep(local), rep(local)],
-        boundary_up=[up0, up1],
-        boundary_down=[rep(down1to0), rep(down2to1)],
-        a0=a0,
-        a1=rep(a1),
-        a2=rep(a2),
-    )
-
-
-def _cs_id_blocks(lam_s: np.ndarray, lam_l: float, mu_s: float, ph_l, ph_m) -> dict:
-    """Stacked :meth:`CsIdAnalysis._build_blocks` over a ``lam_s`` vector."""
-    alpha_l, t_l, exit_l = ph_l.alpha, ph_l.T, ph_l.exit_rates
-    alpha_m, t_m, exit_m = ph_m.alpha, ph_m.T, ph_m.exit_rates
-    k_l, k_m = len(alpha_l), len(alpha_m)
-    m = 3 + k_l + k_m
-    idle, s0, s1 = 0, 1, 2
-    bl = slice(3, 3 + k_l)
-    bm = slice(3 + k_l, 3 + k_l + k_m)
-
-    base = np.zeros((m, m))
-    if lam_l > 0.0:
-        base[idle, bl] = lam_l * alpha_l
-        base[s0, s1] = lam_l
-    base[s0, idle] = mu_s * 1.0  # c_l = 1
-    base[s1, bm] = mu_s * 1.0 * alpha_m
-    base[bl, bl] += t_l - np.diag(np.diag(t_l))
-    base[bm, bm] += t_m - np.diag(np.diag(t_m))
-    base[bl, idle] += exit_l
-    base[bm, idle] += exit_m
-
-    k = lam_s.size
-    a1 = np.broadcast_to(base, (k, m, m)).copy()
-    a1[:, idle, s0] = lam_s
-    a0 = lam_s[:, None, None] * np.eye(m)
-    a0[:, idle, idle] = 0.0
-    a2 = np.broadcast_to(mu_s * 1.0 * np.eye(m), (k, m, m))  # c_s = 1
-
-    return dict(
-        boundary_local=[a1],
-        boundary_up=[a0],
-        boundary_down=[a2],
-        a0=a0,
-        a1=a1,
-        a2=a2,
-    )
+                # Non-finite slices fail the acceptance gates and are
+                # re-solved per point, which owns their warnings.
+                with np.errstate(all="ignore"):
+                    seeded += _solve_stack(items, cache)
+            except np.linalg.LinAlgError:
+                continue  # unseeded: the per-point ladder solves these
+        prefetch_span.set("stacked", len(pending))
+        prefetch_span.set("seeded", seeded)
+    if seeded:
+        # Counter parity with the per-point path: every seeded point is one
+        # QBD solve whose R came from the logarithmic-reduction rung.
+        counter_inc("qbd.solves", seeded)
+        counter_inc("qbd.r_matrix.solves", seeded)
+        counter_inc("qbd.r_matrix.method.logarithmic-reduction", seeded)
 
 
 def _with_diagonal_batched(local: np.ndarray, out_rates: np.ndarray) -> np.ndarray:
@@ -960,175 +126,130 @@ def _with_diagonal_batched(local: np.ndarray, out_rates: np.ndarray) -> np.ndarr
     return block
 
 
-def _decimate(values: list, limit: int = 32) -> list:
-    """Stride-decimate a per-point attribute list for span attrs."""
-    if len(values) <= limit:
-        return values
-    stride = -(-len(values) // limit)
-    return values[::stride]
+def _solve_stack(items: list, cache) -> int:
+    """Solve one shape-homogeneous stack and seed its accepted points.
 
-
-def _solve_pending(kind: str, items: "list[_PendingQbd]", cache) -> None:
-    """Batch-solve one shape-homogeneous group of pending points.
-
-    Appends ``(index, solution, cache_hit)`` to every receiver's entries
-    list for accepted points — their results seeded into the sweep cache
-    under the exact scalar keys — and adds every rejected point's
-    receivers to their fallback sets.
+    ``items`` holds ``(qbd-solution key, QbdProcess)`` pairs; returns how
+    many solutions were seeded.
     """
     t0 = time.perf_counter()
-    k = len(items)
-    blocks = _stacked_blocks(kind, items)
-    a0, a1, a2 = blocks["a0"], blocks["a1"], blocks["a2"]
-    b = len(blocks["boundary_local"])
-    m = a1.shape[1]
-    finalized: set = set()
-    reject_reason: dict[int, str] = {}
-    accepted_count = 0
-
-    with span("perf.batched.solve", policy=kind, points=k) as solve_span:
-        a1_full = _with_diagonal_batched(a1, a0.sum(axis=2) + a2.sum(axis=2))
-        r, residual, iterations, accepted = solve_r_matrix_batched(
-            a0, a1_full, a2, tol=_R_TOL, max_iter=_R_MAX_ITER
+    processes = [process for _, process in items]
+    b = processes[0].b
+    m = processes[0].m
+    a0 = np.stack([p.a0 for p in processes])
+    a1 = np.stack([p.a1 for p in processes])
+    a2 = np.stack([p.a2 for p in processes])
+    boundary = {
+        name: [np.stack([getattr(p, name)[i] for p in processes]) for i in range(b)]
+        for name in ("boundary_local", "boundary_up", "boundary_down")
+    }
+    a1_full = _with_diagonal_batched(a1, a0.sum(axis=2) + a2.sum(axis=2))
+    r, residual, iterations, accepted = solve_r_matrix_batched(
+        a0, a1_full, a2, tol=_R_TOL, max_iter=_R_MAX_ITER
+    )
+    acc = np.flatnonzero(accepted)
+    if not acc.size:
+        return 0
+    eye_m = np.eye(m)
+    sp_r = np.abs(np.linalg.eigvals(r[acc])).max(axis=1)
+    pi, resid_b, ok, offsets, dims, inv, square, bscale = _solve_boundary_batched(
+        [blk[acc] for blk in boundary["boundary_local"]],
+        [blk[acc] for blk in boundary["boundary_up"]],
+        [blk[acc] for blk in boundary["boundary_down"]],
+        a0[acc],
+        a1[acc],
+        a2[acc],
+        r[acc],
+    )
+    # cond(I - R): same per-slice SVD as the scalar check_conditioning; the
+    # warn band stays unseeded so the per-point path emits its warning.
+    cond = np.linalg.cond(eye_m - r[acc])
+    pscale = np.maximum(1.0, np.abs(pi).max(axis=1))
+    neg_ok = pi.min(axis=1) >= -1e-9 * pscale
+    pi = np.clip(pi, 0.0, None)
+    tail = (pi[:, None, offsets[b] :] @ inv)[:, 0, :].sum(axis=1)
+    mass = pi[:, : offsets[b]].sum(axis=1) + tail
+    # Trust: the scalar ``_assess_trust`` arithmetic over the whole stack,
+    # so a seeded point carries the bit-identical verdict.  Non-trusted
+    # points stay unseeded; the per-point escalation rung owns them.
+    cond_boundary = np.asarray(condest_1(square))
+    cond_i_minus_r = np.asarray(condest_1(eye_m - r[acc]))
+    r_scale = np.maximum.reduce(
+        [
+            np.abs(a0[acc]).max(axis=(1, 2)),
+            np.abs(a1_full[acc]).max(axis=(1, 2)),
+            np.abs(a2[acc]).max(axis=(1, 2)),
+            np.ones(acc.size),
+        ]
+    )
+    bound = compose_bound(
+        cond_boundary, resid_b, bscale, cond_i_minus_r, residual[acc], r_scale
+    )
+    cond_est = np.maximum(cond_boundary, cond_i_minus_r)
+    trusted = np.array([v == "trusted" for v in trust_verdicts(bound)], dtype=bool)
+    good = (
+        ok
+        & neg_ok
+        & (sp_r < 1.0)
+        & np.isfinite(cond)
+        & (cond <= CONDITION_WARN)
+        & (0.999999 < mass)
+        & (mass < 1.000001)
+        & trusted
+    )
+    wall_share = (time.perf_counter() - t0) / acc.size
+    for j in np.flatnonzero(good):
+        gi = int(acc[j])
+        key = items[gi][0]
+        r_i = np.ascontiguousarray(r[gi])
+        attempt = RungAttempt(
+            "logarithmic-reduction",
+            accepted=True,
+            residual=float(residual[gi]),
+            iterations=int(iterations[gi]),
         )
-        acc = np.flatnonzero(accepted)
-        solve_span.set("accepted", int(acc.size))
-        solve_span.set("iterations", _decimate([int(x) for x in iterations]))
-        if acc.size:
-            # Per-group key context: the scalar cache keys are pure byte
-            # dumps of the blocks, so hoist the contiguous stacks and the
-            # (constant) shape tuple once and slice per point below.
-            key_stacks = [
-                np.ascontiguousarray(blk)
-                for blk in (
-                    *blocks["boundary_local"],
-                    *blocks["boundary_up"],
-                    *blocks["boundary_down"],
-                    a0,
-                    a1,
-                    a2,
-                )
-            ]
-            key_shapes = tuple(blk.shape[1:] for blk in key_stacks)
-            eye_m = np.eye(m)
-            sp_r = np.abs(np.linalg.eigvals(r[acc])).max(axis=1)
-            pi, resid_b, ok, offsets, dims, inv, square, bscale = (
-                _solve_boundary_batched(
-                    [blv[acc] for blv in blocks["boundary_local"]],
-                    [blv[acc] for blv in blocks["boundary_up"]],
-                    [blv[acc] for blv in blocks["boundary_down"]],
-                    a0[acc],
-                    a1[acc],
-                    a2[acc],
-                    r[acc],
-                )
-            )
-            # cond(I - R), batched: same per-slice SVD as the scalar
-            # check_conditioning; the warn band falls back so the scalar
-            # path can emit its NearBoundaryWarning.
-            try:
-                cond = np.linalg.cond(np.eye(m) - r[acc])
-            except np.linalg.LinAlgError:
-                cond = np.full(acc.size, np.inf)
-            pscale = np.maximum(1.0, np.abs(pi).max(axis=1))
-            neg_ok = pi.min(axis=1) >= -1e-9 * pscale
-            pi = np.clip(pi, 0.0, None)
-            tail = (pi[:, None, offsets[b] :] @ inv)[:, 0, :].sum(axis=1)
-            mass = pi[:, : offsets[b]].sum(axis=1) + tail
-            # Trust over the whole stack: identical estimator arithmetic to
-            # the scalar ``_assess_trust`` (same fixed condest sweeps, same
-            # bound composition, same thresholds), so a point evaluated
-            # either way carries the bit-identical verdict.  Non-trusted
-            # points fall back to the scalar path, whose escalation rung
-            # owns the suspect handling.
-            cond_boundary = np.asarray(condest_1(square))
-            cond_i_minus_r = np.asarray(condest_1(eye_m - r[acc]))
-            r_scale = np.maximum.reduce(
-                [
-                    np.abs(a0[acc]).max(axis=(1, 2)),
-                    np.abs(a1_full[acc]).max(axis=(1, 2)),
-                    np.abs(a2[acc]).max(axis=(1, 2)),
-                    np.ones(acc.size),
-                ]
-            )
-            bound = compose_bound(
-                cond_boundary, resid_b, bscale, cond_i_minus_r, residual[acc], r_scale
-            )
-            cond_est = np.maximum(cond_boundary, cond_i_minus_r)
-            verdicts = trust_verdicts(bound)
-            trusted = np.array([v == "trusted" for v in verdicts], dtype=bool)
-            good = (
-                ok
-                & neg_ok
-                & (sp_r < 1.0)
-                & np.isfinite(cond)
-                & (cond <= CONDITION_WARN)
-                & (0.999999 < mass)
-                & (mass < 1.000001)
-                & trusted
-            )
-            for j, gi in enumerate(acc):
-                if good[j]:
-                    continue
-                if not ok[j]:
-                    reason = "boundary-unbalanced"
-                elif not neg_ok[j]:
-                    reason = "negative-mass"
-                elif not sp_r[j] < 1.0:
-                    reason = "unstable"
-                elif not (np.isfinite(cond[j]) and cond[j] <= CONDITION_WARN):
-                    reason = "ill-conditioned"
-                elif not (0.999999 < mass[j] < 1.000001):
-                    reason = "mass-gate"
-                else:
-                    reason = f"trust-{verdicts[j]}"
-                reject_reason[int(gi)] = reason
-            wall_share = (time.perf_counter() - t0) / acc.size
-            for j, gi in enumerate(acc):
-                if not good[j]:
-                    continue
-                gi = int(gi)
-                solution = _finalize_point(
-                    items[gi],
-                    key_stacks,
-                    key_shapes,
-                    eye_m,
-                    gi,
-                    r,
-                    a1_full,
-                    float(residual[gi]),
-                    int(iterations[gi]),
-                    float(sp_r[j]),
-                    float(cond[j]),
-                    np.ascontiguousarray(inv[j]),
-                    pi[j],
-                    float(resid_b[j]),
-                    offsets,
-                    dims,
-                    b,
-                    wall_share,
-                    cache,
-                    condition_estimate=float(cond_est[j]),
-                    error_bound=float(bound[j]),
-                )
-                # The first receiver registered the miss; later receivers
-                # mirror the scalar path's subsequent cache hits.
-                for pos, (i, entries, _fb) in enumerate(items[gi].receivers):
-                    entries.append((i, solution, pos > 0))
-                finalized.add(gi)
-                accepted_count += 1
-        solve_span.set("solved", accepted_count)
-    for gi, item in enumerate(items):
-        if gi not in finalized:
-            reason = reject_reason.get(gi, "qbd-not-accepted")
-            for i, _entries, fb in item.receivers:
-                _note_fallback(fb, i, reason)
-    if accepted_count:
-        # Counter parity with the scalar path: every batch-solved point is
-        # one QBD solve whose R came from the logarithmic-reduction rung.
-        counter_inc("qbd.solves", accepted_count)
-        counter_inc("qbd.r_matrix.solves", accepted_count)
-        counter_inc("qbd.r_matrix.method.logarithmic-reduction", accepted_count)
+        r_diag = SolverDiagnostics(
+            method="logarithmic-reduction",
+            rungs=(attempt,),
+            residual=float(residual[gi]),
+            spectral_radius=float(sp_r[j]),
+            iterations=int(iterations[gi]),
+            wall_time=wall_share,
+        )
+        solution = QbdSolution.from_batched(
+            [
+                np.ascontiguousarray(pi[j, offsets[i] : offsets[i] + dims[i]])
+                for i in range(b)
+            ],
+            np.ascontiguousarray(pi[j, offsets[b] :]),
+            r_i,
+            b,
+            tail_spectral_radius=float(sp_r[j]),
+            condition_i_minus_r=float(cond[j]),
+            i_minus_r_inv=np.ascontiguousarray(inv[j]),
+            identity=eye_m,
+            diagnostics=replace(
+                r_diag,
+                condition_i_minus_r=float(cond[j]),
+                boundary_residual=float(resid_b[j]),
+                condition_estimate=float(cond_est[j]),
+                error_bound=float(bound[j]),
+                trust="trusted",
+            ),
+        )
+        # The keys solve_r_matrix_with_diagnostics and QbdProcess.solve
+        # look up, byte for byte.
+        r_key = (
+            m,
+            a0[gi].tobytes(),
+            a1_full[gi].tobytes(),
+            a2[gi].tobytes(),
+            float(_R_TOL),
+            int(_R_MAX_ITER),
+        )
+        cache.seed("r-matrix", r_key, (r_i, r_diag))
+        cache.seed("qbd-solution", key, solution)
+    return int(good.sum())
 
 
 def _solve_boundary_batched(
@@ -1201,101 +322,3 @@ def _solve_boundary_batched(
             residual[i] = resid_i
             ok[i] = True
     return pi, residual, ok, offsets, dims, i_minus_r_inv, square, scale
-
-
-def _finalize_point(
-    item: _PendingQbd,
-    key_stacks: list,
-    key_shapes: tuple,
-    eye_m: np.ndarray,
-    gi: int,
-    r: np.ndarray,
-    a1_full: np.ndarray,
-    quad_residual: float,
-    r_iterations: int,
-    sp_r: float,
-    cond: float,
-    i_minus_r_inv: np.ndarray,
-    pi: np.ndarray,
-    boundary_residual: float,
-    offsets: np.ndarray,
-    dims: list[int],
-    b: int,
-    wall_share: float,
-    cache,
-    condition_estimate: Optional[float] = None,
-    error_bound: Optional[float] = None,
-) -> QbdSolution:
-    """Assemble one accepted point's :class:`QbdSolution` and seed caches.
-
-    All acceptance gates already passed batched; this only packages the
-    per-point components (with diagnostics mimicking a scalar rung-1
-    solve) and deposits them under the exact scalar cache keys.
-    """
-    boundary_pi = [
-        np.ascontiguousarray(pi[offsets[i] : offsets[i] + dims[i]]) for i in range(b)
-    ]
-    pi_b = np.ascontiguousarray(pi[offsets[b] :])
-    r_i = np.ascontiguousarray(r[gi])
-    attempt = RungAttempt(
-        "logarithmic-reduction",
-        accepted=True,
-        residual=quad_residual,
-        iterations=r_iterations,
-    )
-    r_diag = SolverDiagnostics(
-        method="logarithmic-reduction",
-        rungs=(attempt,),
-        residual=quad_residual,
-        spectral_radius=sp_r,
-        iterations=r_iterations,
-        wall_time=wall_share,
-    )
-    solution = QbdSolution.from_batched(
-        boundary_pi,
-        pi_b,
-        r_i,
-        b,
-        tail_spectral_radius=sp_r,
-        condition_i_minus_r=cond,
-        i_minus_r_inv=i_minus_r_inv,
-        identity=eye_m,
-        diagnostics=SolverDiagnostics(
-            method="logarithmic-reduction",
-            rungs=(attempt,),
-            residual=quad_residual,
-            spectral_radius=sp_r,
-            condition_i_minus_r=cond,
-            boundary_residual=boundary_residual,
-            iterations=r_iterations,
-            wall_time=wall_share,
-            condition_estimate=condition_estimate,
-            error_bound=error_bound,
-            # Only trusted points pass the batched gate; anything else is
-            # re-solved scalar (where the escalation rung runs).
-            trust="trusted",
-        ),
-    )
-    if cache is not None:
-        # Byte-for-byte the keys :meth:`QbdProcess.solution_key_for_blocks`
-        # and the scalar R-matrix cache build, assembled from the hoisted
-        # contiguous stacks (block order: locals, ups, downs, a0, a1, a2).
-        blk_bytes = [stack[gi].tobytes() for stack in key_stacks]
-        r_key = (
-            eye_m.shape[0],
-            blk_bytes[-3],
-            a1_full[gi].tobytes(),
-            blk_bytes[-1],
-            float(_R_TOL),
-            int(_R_MAX_ITER),
-        )
-        cache.seed("r-matrix", r_key, (r_i, r_diag))
-        solution_key = (b, eye_m.shape[0], key_shapes, b"".join(blk_bytes))
-        cache.seed("qbd-solution", solution_key, solution)
-        cache.seed("analysis-solution", item.key, solution)
-    return solution
-
-
-# Deferred to break the import cycle through repro.core (which reaches
-# back into repro.perf.cache via the solver layers).
-from ..core.cs_cq import fit_busy_period  # noqa: E402

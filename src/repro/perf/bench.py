@@ -189,13 +189,11 @@ class BenchRecord:
     cache: "dict | None"
     solver: "dict | None"
     calibration: float
-    variant: "str | None" = None
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
             "quick": self.quick,
-            "variant": self.variant,
             "wall_time": self.wall_time,
             "wall_times": self.wall_times,
             "repeat": len(self.wall_times),
@@ -219,16 +217,11 @@ def run_benchmark(name: str, quick: bool = False, repeat: int = 3) -> BenchRecor
         )
     if repeat < 1:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
-    from .batched import batched_enabled
-
     bench = BENCHMARKS[name]
     workload = bench.quick if quick else bench.full
-    from ..telemetry import registry
-
     wall_times = []
     cache_stats = solver = None
     for i in range(repeat):
-        fallbacks_before = registry().counter("batched.fallback")
         with sweep_cache() as cache:
             start = time.perf_counter()
             workload()
@@ -236,14 +229,6 @@ def run_benchmark(name: str, quick: bool = False, repeat: int = 3) -> BenchRecor
             if i == 0:
                 cache_stats = cache.stats()
                 solver = _solver_summary(cache)
-                if solver is not None and batched_enabled():
-                    # How many points the batched fast path handed back to
-                    # the scalar solver this (cold) repeat — the headline
-                    # "did the tensor backend actually carry the load"
-                    # number (per-reason counters live in telemetry).
-                    solver["batched_fallbacks"] = int(
-                        registry().counter("batched.fallback") - fallbacks_before
-                    )
     return BenchRecord(
         name=name,
         quick=quick,
@@ -252,31 +237,21 @@ def run_benchmark(name: str, quick: bool = False, repeat: int = 3) -> BenchRecor
         cache=cache_stats,
         solver=solver,
         calibration=calibration_time(),
-        variant="batched" if batched_enabled() else None,
     )
 
 
-def record_filename(name: str, variant: "str | None" = None, quick: bool = False) -> str:
-    """The canonical record filename: ``BENCH_<name>[.<variant>][.quick].json``.
+def record_filename(name: str, quick: bool = False) -> str:
+    """The canonical record filename: ``BENCH_<name>[.quick].json``.
 
     The filename *is* the pairing identity — discovery and the regression
     gate parse it back with :func:`parse_record_filename`, so every record
     written through here is deterministically pairable with its baseline.
     """
-    if variant is not None and (
-        not variant or not variant.isidentifier() or variant == "quick"
-    ):
-        raise ValueError(f"record variant must be an identifier, got {variant!r}")
-    parts = [f"BENCH_{name}"]
-    if variant:
-        parts.append(variant)
-    if quick:
-        parts.append("quick")
-    return ".".join(parts) + ".json"
+    return f"BENCH_{name}{'.quick' if quick else ''}.json"
 
 
-def parse_record_filename(filename: str) -> "tuple[str, str | None, bool] | None":
-    """Invert :func:`record_filename`: ``(name, variant, quick)`` or None.
+def parse_record_filename(filename: str) -> "tuple[str, bool] | None":
+    """Invert :func:`record_filename`: ``(name, quick)`` or None.
 
     Returns None for files that do not follow the canonical naming —
     callers treat those as unpairable and fail loudly rather than guess.
@@ -284,27 +259,19 @@ def parse_record_filename(filename: str) -> "tuple[str, str | None, bool] | None
     if not filename.startswith("BENCH_") or not filename.endswith(".json"):
         return None
     stem = filename[len("BENCH_") : -len(".json")]
-    parts = stem.split(".")
-    name, markers = parts[0], parts[1:]
-    if not name or len(markers) > 2:
+    name, _, marker = stem.partition(".")
+    if not name or marker not in ("", "quick"):
         return None
-    quick = False
-    if markers and markers[-1] == "quick":
-        quick = True
-        markers = markers[:-1]
-    variant = markers[0] if markers else None
-    if len(markers) > 1 or variant == "quick" or (variant is not None and not variant):
-        return None
-    return name, variant, quick
+    return name, marker == "quick"
 
 
 def discover_records(
     record_dir: "Path | str",
-) -> "tuple[list[tuple[str, str | None, bool, Path]], list[Path]]":
+) -> "tuple[list[tuple[str, bool, Path]], list[Path]]":
     """Deterministically enumerate the bench records in a directory.
 
     Returns ``(records, unparseable)``: records as sorted
-    ``(name, variant, quick, path)`` tuples, plus every ``BENCH_*.json``
+    ``(name, quick, path)`` tuples, plus every ``BENCH_*.json``
     whose filename does not parse — the regression gate reports those as
     hard failures, so a stale or hand-misnamed baseline can never be
     silently skipped.
@@ -325,34 +292,17 @@ def write_bench_json(record_dict: dict, out_dir: "Path | str") -> Path:
     from ..robustness.atomic_write import atomic_write_json
 
     path = Path(out_dir) / record_filename(
-        record_dict["name"],
-        record_dict.get("variant"),
-        bool(record_dict.get("quick")),
+        record_dict["name"], bool(record_dict.get("quick"))
     )
     atomic_write_json(path, record_dict, sort_keys=True)
     return path
 
 
-def load_baseline(
-    name: str,
-    quick: bool,
-    baseline_dir: "Path | str",
-    variant: "str | None" = None,
-) -> "dict | None":
-    """Load the committed baseline record for ``name``, if one exists.
-
-    A variant record (e.g. ``batched``) prefers its exact-variant
-    baseline and falls back to the scalar anchor of the same name — that
-    fallback is what lets a freshly introduced variant gate against the
-    committed scalar trajectory (and is how the batched backend's speedup
-    is recorded as a ``speedup_vs_baseline`` against the scalar anchor).
-    """
-    candidates = [Path(baseline_dir) / record_filename(name, variant, quick)]
-    if variant is not None:
-        candidates.append(Path(baseline_dir) / record_filename(name, None, quick))
-    for path in candidates:
-        if path.exists():
-            return json.loads(path.read_text())
+def load_baseline(name: str, quick: bool, baseline_dir: "Path | str") -> "dict | None":
+    """Load the committed baseline record for ``name``, if one exists."""
+    path = Path(baseline_dir) / record_filename(name, quick)
+    if path.exists():
+        return json.loads(path.read_text())
     return None
 
 

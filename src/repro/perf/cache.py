@@ -222,30 +222,17 @@ class SweepCache:
     def seed(self, namespace: str, key: Hashable, value: Any) -> Any:
         """Insert a value computed *outside* the cache, without counting.
 
-        The batched sweep backend solves whole grids of QBDs in stacked
-        LAPACK calls and then deposits each per-point result under the
-        exact key the scalar path would have used — so later scalar
-        lookups (including the persistent store, via the usual
-        write-through) are indistinguishable from a scalar-computed
-        entry.  No hit or miss is recorded: the batched caller already
-        issued exactly one counted :meth:`lookup` per point, matching the
-        scalar path's one :meth:`get_or_compute` per point.  First store
-        wins, as everywhere else.
+        The sweep prefetch (:mod:`repro.perf.batched`) solves a row's QBDs
+        in stacked LAPACK calls and deposits each per-point result under
+        the exact key the per-point path looks up — so those lookups
+        (and, via the usual write-through, the persistent store) see an
+        entry indistinguishable from a per-point one.  No hit or miss is
+        recorded: the per-point lookup that follows counts itself.  First
+        store wins, as everywhere else.
         """
         self._store_put(namespace, key, value)
         with self._lock:
             return self._insert_locked((namespace, key), value)
-
-    def record_hit(self, namespace: str) -> None:
-        """Count a hit satisfied outside the lookup path.
-
-        The batched solve pool dedups identical pending QBDs by key
-        *before* anything is computed; each deduped requester is what
-        would have been a memory hit on the scalar path, so stats parity
-        between the two sweep modes requires recording it as one.
-        """
-        with self._lock:
-            self.hits[namespace] += 1
 
     def contains(self, namespace: str, key: Hashable) -> bool:
         """True when ``(namespace, key)`` is already memoized *in memory*.

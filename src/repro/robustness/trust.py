@@ -35,7 +35,7 @@ ch. 7): cheap, first-order, and deliberately *pessimistic* — a verdict
 may cry wolf, it must never stay silent.
 
 Everything here is elementwise numpy over an optional leading stack
-axis: the scalar solver calls with single matrices, the batched backend
+axis: the scalar solver calls with single matrices, the sweep prefetch
 (:mod:`repro.perf.batched`) with ``(N, n, n)`` stacks, and both run the
 *identical* arithmetic (same fixed sweep count, same per-slice LAPACK
 dispatch), so scalar and batched verdicts are bit-identical by

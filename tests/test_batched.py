@@ -1,11 +1,13 @@
-"""Property suite: the batched tensor QBD backend vs the scalar sweep path.
+"""Property suite: the stacked-solve sweep prefetch vs the per-point sweep.
 
-The batched backend's contract (see :mod:`repro.perf.batched`) is that a
-sweep solved through stacked LAPACK calls is *observably identical* to the
-scalar per-point sweep: values agree to 1e-10 relative, the NaN pattern
-(stability truncation) is bit-identical, and every cache namespace — in
-memory and in the persistent store — ends up with exactly the same keys,
-so warm runs and ``repro check`` cannot tell the two paths apart.
+The prefetch (:mod:`repro.perf.batched`) only seeds the sweep cache; every
+value, NaN, warning, contract check and diagnostic still comes from the
+per-point loop.  So a prefetched sweep must be *observably identical* to
+an unprefetched one: values agree to 1e-10 relative, the NaN pattern
+(stability truncation) is bit-identical, trust records are bitwise equal,
+every cache namespace — in memory and in the persistent store — ends up
+with exactly the same keys, and under ``SweepRunner(workers=0)`` every
+point keeps its status and warnings.
 """
 
 import warnings
@@ -13,11 +15,19 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.contracts
+import repro.experiments.figures as figures_mod
 import repro.perf.batched as batched_mod
-from repro.experiments.figures import _POLICY_LABELS, _policy_point_values
+from repro.experiments import figure4_panels
+from repro.experiments.figures import (
+    _POLICY_LABELS,
+    _policy_point_values,
+    _sweep_policy_values,
+)
+from repro.orchestration import SweepRunner
 from repro.perf import sweep_cache
-from repro.perf.batched import batched_figure_values, batched_sweep_values
 from repro.perf.store import PERSISTED_NAMESPACES, ResultStore
+from repro.telemetry import registry
 from repro.workloads import COXIAN_LONG_CASES, EXPONENTIAL_CASES
 
 #: Cache namespaces whose key sets must match between the two paths.
@@ -26,6 +36,10 @@ _PARITY_NAMESPACES = sorted(PERSISTED_NAMESPACES - {"service-answer"})
 #: rho_s grid reaching past the Dedicated (1.0) boundary so the sweep has
 #: a nontrivial NaN pattern, but below the CS-CQ boundary 2 - rho_l.
 _RHO_S_GRID = (0.2, 0.6, 0.9, 1.2)
+
+#: Diagnostics fields that legitimately differ: a seeded solution is a
+#: cache hit, and wall time is never reproducible.
+_VOLATILE_DIAG_FIELDS = ("cache_hit", "wall_time")
 
 
 def _grids():
@@ -54,14 +68,20 @@ def _grids():
     return rows
 
 
-def _scalar_sweep(case, load_pairs, job_class):
-    """The scalar reference: one `_policy_point_values` call per point."""
-    out = {label: np.full(len(load_pairs), np.nan) for label in _POLICY_LABELS}
-    for i, (rho_s, rho_l) in enumerate(load_pairs):
-        values, _ = _policy_point_values(case.params(rho_s, rho_l), job_class)
-        for label in _POLICY_LABELS:
-            out[label][i] = values[label]
-    return out
+def _prefetch_off(patch):
+    """Turn the prefetch off, leaving the plain per-point loop."""
+    patch.setattr(batched_mod, "prefetch_sweep_solutions", lambda *args: None)
+
+
+def _points(case, load_pairs, job_class):
+    """``_sweep_policy_values``' in-process body, keeping diagnostics."""
+    batched_mod.prefetch_sweep_solutions(case, load_pairs, job_class)
+    return [
+        _policy_point_values(
+            case.params(rho_s, rho_l), job_class, with_diagnostics=True
+        )
+        for rho_s, rho_l in load_pairs
+    ]
 
 
 def _namespace_keys(cache):
@@ -80,23 +100,26 @@ def _store_entries(store):
     return entries
 
 
-def _run_both(case, load_pairs, job_class, monkeypatch, scalar_store=None,
-              batched_store=None):
-    """One grid through both paths, returning (values, keys) per path."""
-    monkeypatch.setenv("REPRO_BATCHED_STRICT", "1")
-    # The process-wide fits memo skips recomputation (and therefore the
-    # ph-fit/busy-moments cache traffic) in scopes after the first; clear
-    # it so this scope's namespace accounting is complete.
-    monkeypatch.setattr(batched_mod, "_FITS_CACHE", {})
+def _run_both(case, load_pairs, job_class, monkeypatch, reference_store=None,
+              prefetched_store=None):
+    """One grid with and without the prefetch: ``(ref, pre)`` pairs of
+    ``(values, diagnostics, namespace keys)``."""
+    results = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with sweep_cache(store=scalar_store) as cache:
-            scalar = _scalar_sweep(case, load_pairs, job_class)
-            scalar_keys = _namespace_keys(cache)
-        with sweep_cache(store=batched_store) as cache:
-            batched, _ = batched_sweep_values(case, load_pairs, job_class)
-            batched_keys = _namespace_keys(cache)
-    return scalar, batched, scalar_keys, batched_keys
+        for store, prefetch in ((reference_store, False), (prefetched_store, True)):
+            with monkeypatch.context() as patch:
+                if not prefetch:
+                    _prefetch_off(patch)
+                with sweep_cache(store=store) as cache:
+                    points = _points(case, load_pairs, job_class)
+                    keys = _namespace_keys(cache)
+            values = {
+                label: np.array([v[label] for v, _ in points])
+                for label in _POLICY_LABELS
+            }
+            results.append((values, [d for _, d in points], keys))
+    return results
 
 
 GRIDS = _grids()
@@ -109,9 +132,9 @@ GRIDS = _grids()
 )
 class TestBatchedScalarParity:
     def test_values_and_nan_pattern(self, case, load_pairs, job_class, monkeypatch):
-        scalar, batched, _, _ = _run_both(case, load_pairs, job_class, monkeypatch)
+        (ref, _, _), (pre, _, _) = _run_both(case, load_pairs, job_class, monkeypatch)
         for label in _POLICY_LABELS:
-            s, b = scalar[label], batched[label]
+            s, b = ref[label], pre[label]
             # Stability truncation must be bit-identical, not just close.
             assert np.array_equal(np.isnan(s), np.isnan(b)), label
             finite = ~np.isnan(s)
@@ -122,13 +145,28 @@ class TestBatchedScalarParity:
                 assert rel.max() <= 1e-10, (label, rel.max())
 
     def test_cache_key_sets_match(self, case, load_pairs, job_class, monkeypatch):
-        _, _, scalar_keys, batched_keys = _run_both(
+        (_, _, ref_keys), (_, _, pre_keys) = _run_both(
             case, load_pairs, job_class, monkeypatch
         )
         for namespace in _PARITY_NAMESPACES:
-            assert scalar_keys.get(namespace, set()) == batched_keys.get(
+            assert ref_keys.get(namespace, set()) == pre_keys.get(
                 namespace, set()
             ), namespace
+
+    def test_diagnostics_match(self, case, load_pairs, job_class, monkeypatch):
+        (_, ref_diags, _), (_, pre_diags, _) = _run_both(
+            case, load_pairs, job_class, monkeypatch
+        )
+        for ref_point, pre_point in zip(ref_diags, pre_diags):
+            assert (ref_point or {}).keys() == (pre_point or {}).keys()
+            for label, ref in (ref_point or {}).items():
+                pre = pre_point[label]
+                assert ref["trust"] == pre["trust"], label
+                assert ref["error_bound"] == pre["error_bound"], label  # bitwise
+                for name in _VOLATILE_DIAG_FIELDS:
+                    ref.pop(name, None)
+                    pre.pop(name, None)
+                assert ref == pre, label
 
 
 class TestStoreDigestParity:
@@ -139,28 +177,33 @@ class TestStoreDigestParity:
         # volatile and deliberately not compared).
         case = EXPONENTIAL_CASES[1]
         pairs = [(rho_s, 0.5) for rho_s in _RHO_S_GRID]
-        scalar_store = ResultStore(tmp_path / "scalar")
-        batched_store = ResultStore(tmp_path / "batched")
+        reference_store = ResultStore(tmp_path / "reference")
+        prefetched_store = ResultStore(tmp_path / "prefetched")
         _run_both(
             case,
             pairs,
             "short",
             monkeypatch,
-            scalar_store=scalar_store,
-            batched_store=batched_store,
+            reference_store=reference_store,
+            prefetched_store=prefetched_store,
         )
-        scalar_entries = _store_entries(scalar_store)
-        batched_entries = _store_entries(batched_store)
-        assert scalar_entries.keys() == batched_entries.keys()
-        for namespace, entries in scalar_entries.items():
-            assert entries == batched_entries[namespace], namespace
-        assert "qbd-solution" in scalar_entries
-        assert "r-matrix" in scalar_entries
+        reference_entries = _store_entries(reference_store)
+        prefetched_entries = _store_entries(prefetched_store)
+        assert reference_entries.keys() == prefetched_entries.keys()
+        for namespace, entries in reference_entries.items():
+            assert entries == prefetched_entries[namespace], namespace
+        assert "qbd-solution" in reference_entries
+        assert "r-matrix" in reference_entries
+
+
+def _qbd_solves() -> float:
+    return registry().counter("qbd.solves")
 
 
 class TestFigurePool:
-    def test_pooled_rows_equal_row_by_row(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED_STRICT", "1")
+    def test_pooled_rows_equal_row_by_row(self):
+        # One figure scope: the long row's CS-CQ chains come from the short
+        # row's prefetch.  Each row in its own scope prefetches them anew.
         case = EXPONENTIAL_CASES[0]
         rows = [
             (case, [(rho_s, 0.5) for rho_s in _RHO_S_GRID], jc)
@@ -169,47 +212,180 @@ class TestFigurePool:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with sweep_cache():
-                pooled = batched_figure_values(rows)
+                pooled = [_sweep_policy_values(*row) for row in rows]
             row_by_row = []
-            with sweep_cache():
-                for row in rows:
-                    values, _ = batched_sweep_values(*row)
-                    row_by_row.append(values)
+            for row in rows:
+                with sweep_cache():
+                    row_by_row.append(_sweep_policy_values(*row))
         for pooled_row, single_row in zip(pooled, row_by_row):
             for label in _POLICY_LABELS:
                 np.testing.assert_array_equal(pooled_row[label], single_row[label])
 
-    def test_pool_deduplicates_repeated_points(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED_STRICT", "1")
+    def test_pool_deduplicates_repeated_points(self):
         case = EXPONENTIAL_CASES[0]
         pairs = [(0.6, 0.5), (0.9, 0.5), (0.6, 0.5)]  # index 2 repeats 0
+        before = _qbd_solves()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with sweep_cache() as cache:
-                values, diags = batched_sweep_values(
-                    case, pairs, "short", with_diagnostics=True
-                )
-        assert values["CS-Central-Q"][2] == values["CS-Central-Q"][0]
-        # The repeated point registers as a cache hit, exactly like the
-        # scalar path's second get_or_compute on the same key.
-        assert cache.hits["analysis-solution"] >= 1
-        assert diags[2] is not None
-        assert diags[2]["CS-Central-Q"]["cache_hit"] is True
-        assert diags[0]["CS-Central-Q"]["cache_hit"] is False
+            with sweep_cache():
+                batched_mod.prefetch_sweep_solutions(case, pairs, "short")
+                seeded = _qbd_solves() - before
+                values = [
+                    _policy_point_values(case.params(*pair), "short")[0]
+                    for pair in pairs
+                ]
+        # Two distinct loads, CS-ID and CS-CQ each: four stacked solves,
+        # and the per-point loop then solves nothing.
+        assert seeded == 4
+        assert _qbd_solves() - before == 4
+        assert values[2] == values[0]
 
-    def test_second_sweep_is_all_cache_hits(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED_STRICT", "1")
+    def test_second_sweep_is_all_cache_hits(self):
         case = EXPONENTIAL_CASES[0]
         pairs = [(0.4, 0.5), (0.8, 0.5)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with sweep_cache() as cache:
-                first, _ = batched_sweep_values(case, pairs, "short")
+                first = _sweep_policy_values(case, pairs, "short")
                 misses_after_first = dict(cache.misses)
-                second, _ = batched_sweep_values(case, pairs, "short")
+                solves_after_first = _qbd_solves()
+                second = _sweep_policy_values(case, pairs, "short")
         for label in _POLICY_LABELS:
             np.testing.assert_array_equal(first[label], second[label])
-        # The second sweep added no analysis-solution misses.
-        assert cache.misses["analysis-solution"] == misses_after_first[
-            "analysis-solution"
+        # The second sweep added no analysis-solution misses and no solves.
+        assert cache.misses["analysis-solution"] == misses_after_first.get(
+            "analysis-solution", 0
+        )
+        assert _qbd_solves() == solves_after_first
+
+
+class TestRejectedStacks:
+    """Points the stack does not accept fall through to the per-point
+    ladder, which produces the same values."""
+
+    case = EXPONENTIAL_CASES[1]
+    pairs = [(rho_s, 0.5) for rho_s in _RHO_S_GRID]
+
+    def _assert_unseeded_and_unchanged(self, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with monkeypatch.context() as patch:
+                _prefetch_off(patch)
+                with sweep_cache():
+                    reference = _sweep_policy_values(self.case, self.pairs, "short")
+            with sweep_cache() as cache:
+                batched_mod.prefetch_sweep_solutions(self.case, self.pairs, "short")
+                assert not cache.values("qbd-solution")
+                values = _sweep_policy_values(self.case, self.pairs, "short")
+        for label in _POLICY_LABELS:
+            np.testing.assert_array_equal(values[label], reference[label])
+
+    def test_gate_rejection_leaves_points_unseeded(self, monkeypatch):
+        monkeypatch.setattr(batched_mod, "CONDITION_WARN", 0.0)
+        self._assert_unseeded_and_unchanged(monkeypatch)
+
+    def test_lapack_error_leaves_stack_unseeded(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular stack")
+
+        monkeypatch.setattr(batched_mod, "solve_r_matrix_batched", broken)
+        self._assert_unseeded_and_unchanged(monkeypatch)
+
+
+#: Figure-4 quick grid, plus a load at 99% of the CS-CQ boundary.
+_FIG4_GRID = [0.3, 0.6, 0.9, 1.2, 0.99 * 1.5]
+
+
+class _RecordingRunner(SweepRunner):
+    """Inline runner that keeps every point outcome it produced."""
+
+    def __init__(self):
+        super().__init__(workers=0)
+        self.outcomes = []
+
+    def run(self, points):
+        outcomes = super().run(points)
+        self.outcomes.extend(outcomes)
+        return outcomes
+
+
+def _record_point_warnings(monkeypatch) -> dict:
+    """Log every point's warnings (keyed by load and job class), then
+    re-emit them so the runner still classifies the point."""
+    real = figures_mod._policy_point_values
+    log = {}
+
+    def recording(params, job_class, with_diagnostics=False):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = real(params, job_class, with_diagnostics)
+        log[(params.rho_s, params.rho_l, job_class)] = [
+            (w.category.__name__, str(w.message)) for w in caught
         ]
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+        return result
+
+    monkeypatch.setattr(figures_mod, "_policy_point_values", recording)
+    return log
+
+
+class TestInlineRunnerParity:
+    def test_point_status_and_warnings_match(self, monkeypatch):
+        runs = []
+        for prefetch in (False, True):
+            with monkeypatch.context() as patch:
+                if not prefetch:
+                    _prefetch_off(patch)
+                log = _record_point_warnings(patch)
+                runner = _RecordingRunner()
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    figure4_panels(rho_s_values=_FIG4_GRID, runner=runner)
+            # repr: NaN-safe, and exact, since float reprs round-trip.
+            outcomes = [
+                (o.point.label, o.status, repr(o.value)) for o in runner.outcomes
+            ]
+            runs.append((outcomes, log))
+        (ref_outcomes, ref_log), (pre_outcomes, pre_log) = runs
+        assert len(ref_outcomes) == 6 * len(_FIG4_GRID)
+        assert pre_outcomes == ref_outcomes
+        assert pre_log == ref_log
+
+
+class TestContractsOnEveryPoint:
+    """Every in-process sweep point is contract-checked, prefetched or not."""
+
+    @staticmethod
+    def _analysis_evaluations(monkeypatch, runner_factory, prefetch: bool) -> int:
+        real = repro.contracts.evaluate
+        count = 0
+
+        def counting(kind, *args, **kwargs):
+            nonlocal count
+            if kind == "analysis":
+                count += 1
+            return real(kind, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.delenv("REPRO_NO_CONTRACTS", raising=False)
+            patch.setattr(repro.contracts, "evaluate", counting)
+            if not prefetch:
+                _prefetch_off(patch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                figure4_panels(rho_s_values=_FIG4_GRID, runner=runner_factory())
+        return count
+
+    @pytest.mark.parametrize(
+        "runner_factory",
+        [lambda: None, lambda: SweepRunner(workers=0)],
+        ids=["no-runner", "workers-0"],
+    )
+    def test_analysis_contract_count_matches_per_point_loop(
+        self, monkeypatch, runner_factory
+    ):
+        reference = self._analysis_evaluations(monkeypatch, runner_factory, False)
+        prefetched = self._analysis_evaluations(monkeypatch, runner_factory, True)
+        assert reference > 0
+        assert prefetched == reference

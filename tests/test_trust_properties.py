@@ -10,7 +10,7 @@ Four families of invariants:
   identical to the scalar form.
 * **Scalar/batched bit-identity** — the 1-norm condition estimator and
   the end-to-end sweep produce *bit-identical* trust verdicts and error
-  bounds whether a point is solved alone or inside a stack.
+  bounds whether a point is solved alone or inside a prefetched stack.
 * **Fault visibility** — an injected silent perturbation lands
   ``suspect``/``untrusted`` at the oracle, and the committed
   near-boundary escalation case demonstrably shrinks its bound.
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.contracts import OracleConfig, check_point
 from repro.core import CsCqAnalysis, SystemParameters
 from repro.orchestration import inject_faults
-from repro.perf.batched import batched_sweep_values
+import repro.perf.batched as batched_mod
 from repro.perf.cache import sweep_cache
 from repro.robustness import (
     TRUST_LEVELS,
@@ -196,26 +196,31 @@ class TestCondestBitIdentity:
 class TestSweepBitIdentity:
     def test_scalar_and_batched_verdicts_bit_identical(self, monkeypatch):
         """End to end: the same grid through the scalar per-point path and
-        the batched tensor backend must yield identical trust verdicts AND
-        bit-identical error bounds for every policy at every point."""
-        monkeypatch.setenv("REPRO_BATCHED_STRICT", "1")
+        through the stacked-solve prefetch must yield identical trust
+        verdicts AND bit-identical error bounds for every policy at every
+        point."""
         from repro.experiments.figures import _POLICY_LABELS, _policy_point_values
 
         case = EXPONENTIAL_CASES[0]
         pairs = [(0.4, 0.5), (0.9, 0.5), (0.99 * 1.5, 0.5)]
+
+        def sweep_diagnostics():
+            with sweep_cache():
+                batched_mod.prefetch_sweep_solutions(case, pairs, "short")
+                return [
+                    _policy_point_values(
+                        case.params(rho_s, rho_l), "short", with_diagnostics=True
+                    )[1]
+                    for rho_s, rho_l in pairs
+                ]
+
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with sweep_cache():
-                scalar_diags = []
-                for rho_s, rho_l in pairs:
-                    _, diags = _policy_point_values(
-                        case.params(rho_s, rho_l), "short", with_diagnostics=True
-                    )
-                    scalar_diags.append(diags)
-            with sweep_cache():
-                _, batched_diags = batched_sweep_values(
-                    case, pairs, "short", with_diagnostics=True
-                )
+            batched_diags = sweep_diagnostics()
+            monkeypatch.setattr(
+                batched_mod, "prefetch_sweep_solutions", lambda *args: None
+            )
+            scalar_diags = sweep_diagnostics()
         compared = 0
         for scalar_point, batched_point in zip(scalar_diags, batched_diags):
             for label in _POLICY_LABELS:
