@@ -1,14 +1,15 @@
 """Extension benchmark: sensitivity to the exponential-shorts assumption.
 
 The paper's chain assumes exponential short service "for simplicity" and
-calls the phase-type generalization straightforward; this study implements
-it (``CsCqPhAnalysis``) and quantifies both (a) how far the published
+calls the phase-type generalization straightforward; ``CsCqAnalysis``
+implements it (exponential shorts are its one-phase case), and this study
+quantifies both (a) how far the published
 exponential-shorts model drifts when the real shorts are not exponential,
 and (b) that the generalized chain tracks simulation across short-size
 variabilities.
 """
 
-from repro.core import CsCqAnalysis, CsCqPhAnalysis, SystemParameters
+from repro.core import CsCqAnalysis, SystemParameters
 from repro.experiments import format_table
 from repro.simulation import simulate
 
@@ -22,7 +23,7 @@ def _run():
         exp_model = CsCqAnalysis(
             SystemParameters.from_loads(rho_s=1.0, rho_l=0.5)
         ).mean_response_time_short()
-        ph_model = CsCqPhAnalysis(params).mean_response_time_short()
+        ph_model = CsCqAnalysis(params).mean_response_time_short()
         sim = simulate(
             "cs-cq", params, seed=62, warmup_jobs=60_000, measured_jobs=900_000
         ).mean_response_short

@@ -56,23 +56,15 @@ def _params(args):
 def cmd_analyze(args) -> int:
     from .core import (
         CsCqAnalysis,
-        CsCqPhAnalysis,
         CsIdAnalysis,
-        CsIdPhAnalysis,
         DedicatedAnalysis,
         UnstableSystemError,
     )
-    from .distributions import Exponential
 
     params = _params(args)
     print(params.describe())
     print(f"\n{'policy':12s} {'E[T_short]':>12s} {'E[T_long]':>12s}")
-    exponential_shorts = isinstance(params.short_service, Exponential)
-    rows = [("Dedicated", DedicatedAnalysis)]
-    if exponential_shorts:
-        rows += [("CS-ID", CsIdAnalysis), ("CS-CQ", CsCqAnalysis)]
-    else:
-        rows += [("CS-ID", CsIdPhAnalysis), ("CS-CQ", CsCqPhAnalysis)]
+    rows = [("Dedicated", DedicatedAnalysis), ("CS-ID", CsIdAnalysis), ("CS-CQ", CsCqAnalysis)]
     diagnostics_blocks = []
     for name, cls in rows:
         try:
@@ -90,7 +82,7 @@ def cmd_analyze(args) -> int:
     for name, solver in diagnostics_blocks:
         print(f"\n{name} solver diagnostics:")
         print(solver.summary(indent="  "))
-    if not exponential_shorts:
+    if params.short_service.scv != 1.0:
         print(
             "\n(non-exponential shorts: using the phase-type generalizations "
             "of the CS-ID and CS-CQ chains)"

@@ -14,7 +14,11 @@ from .moment_algebra import (
     poisson_during_ph_factorial_moments,
     random_sum_moments,
 )
-from .nplus1 import NPlusOneBusyPeriod, initial_work_moments_nplus1
+from .nplus1 import (
+    NPlusOneBusyPeriod,
+    initial_work_moments_nplus1,
+    nplus1_busy_period_moments,
+)
 from .numeric import moments_from_laplace
 
 __all__ = [
@@ -25,6 +29,7 @@ __all__ = [
     "initial_work_moments_nplus1",
     "mg1_busy_period_moments",
     "moments_from_laplace",
+    "nplus1_busy_period_moments",
     "poisson_during_exponential_factorial_moments",
     "poisson_during_ph_factorial_moments",
     "random_sum_moments",

@@ -2,9 +2,12 @@
 
 ``B_{N+1}`` is "a busy period consisting of only long jobs, and started by
 work whose size is the sum of ``N + 1`` long jobs", where ``N`` is the
-number of long arrivals during ``E ~ Exp(2 mu_S)`` — the time (in region 5)
-until one of the two short jobs in service completes and frees a host for
-the waiting long job.
+number of long arrivals during an interval ``E``.  In the paper ``E ~
+Exp(2 mu_S)``: the time (in region 5) until one of the two short jobs in
+service completes and frees a host for the waiting long job.  With
+phase-type shorts ``E`` is the first completion of the two shorts in
+service (CS-CQ) or the caught short's remainder (CS-ID), so the moments
+below take ``E`` through its first three moments.
 
 Transform (paper Section 2.3, with ``sigma(s) = s + lam_l (1 - B_L~(s))``)::
 
@@ -17,7 +20,9 @@ delay-busy-period moment rules.
 
 from __future__ import annotations
 
-from ..distributions import Distribution, fit_phase_type
+from typing import Sequence
+
+from ..distributions import Distribution, Exponential, fit_phase_type, moments_of_sum
 from ..perf import cached
 from ..robustness import NumericalError
 from ..telemetry import span
@@ -26,28 +31,65 @@ from .mg1_busy import MG1BusyPeriod
 from .moment_algebra import (
     Moments,
     moments_look_valid,
-    poisson_during_exponential_factorial_moments,
+    poisson_during_ph_factorial_moments,
     random_sum_moments,
 )
 
-__all__ = ["NPlusOneBusyPeriod", "initial_work_moments_nplus1"]
+__all__ = [
+    "NPlusOneBusyPeriod",
+    "initial_work_moments_nplus1",
+    "nplus1_busy_period_moments",
+]
 
 
 def initial_work_moments_nplus1(
-    lam_l: float, long_service: Distribution, freeing_rate: float
+    lam_l: float, long_service: Distribution, interval_moments: Sequence[float]
 ) -> Moments:
     """Moments of ``W = X_L + sum_{i=1}^{N} X_L^{(i)}``.
 
-    ``N`` = Poisson(``lam_l``) arrivals during ``Exp(freeing_rate)``; all
-    job sizes i.i.d. and independent of ``N``.
+    ``N`` = Poisson(``lam_l``) arrivals during an interval ``E`` with the
+    given first three moments; all job sizes i.i.d. and independent of
+    ``N``.
     """
     x_moms = long_service.moments(3)
-    fact = poisson_during_exponential_factorial_moments(lam_l, freeing_rate)
-    s_moms = random_sum_moments(fact, x_moms)
+    fact = poisson_during_ph_factorial_moments(lam_l, interval_moments)
     # W = X + S_N with X independent of (N, summands).
-    from ..distributions import moments_of_sum
+    return moments_of_sum(x_moms, random_sum_moments(fact, x_moms))
 
-    return moments_of_sum(x_moms, s_moms)
+
+def nplus1_busy_period_moments(
+    lam_l: float, long_service: Distribution, interval_moments: Sequence[float]
+) -> Moments:
+    """Return ``(E[B_{N+1}], E[B_{N+1}^2], E[B_{N+1}^3])`` for interval ``E``.
+
+    Memoized under an active :func:`repro.perf.sweep_cache` scope, keyed
+    on ``lam_l``, the interval's moment triple and the exact long-service
+    moment triple (the only inputs of the derivation).  Raises
+    :class:`~repro.robustness.NumericalError` when the derived triple is
+    not a feasible moment sequence.
+    """
+    x_moms = tuple(long_service.moments(3))
+    if lam_l == 0.0:
+        return x_moms
+    interval_moments = tuple(float(m) for m in interval_moments)
+
+    def compute() -> Moments:
+        with span(
+            "busy.nplus1.moments",
+            lam_l=lam_l,
+            interval_mean=interval_moments[0],
+            rho_l=lam_l * x_moms[0],
+        ):
+            w_moms = initial_work_moments_nplus1(lam_l, long_service, interval_moments)
+            moms = DelayBusyPeriod(w_moms, lam_l, long_service).moments()
+            if not moments_look_valid(moms):
+                raise NumericalError(
+                    f"derived B_(N+1) moments look infeasible: {moms}",
+                    moments=tuple(moms),
+                )
+            return moms
+
+    return cached("busy-moments", ("nplus1", lam_l, interval_moments, x_moms), compute)
 
 
 class NPlusOneBusyPeriod:
@@ -61,9 +103,9 @@ class NPlusOneBusyPeriod:
         Long job size distribution ``X_L``.
     freeing_rate:
         Rate of the exponential interval ``E`` during which the extra ``N``
-        longs accumulate.  For CS-CQ region 5 this is ``2 mu_S`` (first of
-        two shorts in service to finish); the CS-ID analysis reuses this
-        class with ``mu_S``.
+        longs accumulate: ``2 mu_S`` in CS-CQ region 5 (first of two
+        exponential shorts in service to finish), ``mu_S`` for the caught
+        short in CS-ID.
     """
 
     def __init__(self, lam_l: float, long_service: Distribution, freeing_rate: float):
@@ -76,48 +118,22 @@ class NPlusOneBusyPeriod:
         if self.rho_l >= 1.0:
             raise ValueError(f"busy period infinite: rho_l = {self.rho_l:.4g} >= 1")
         self._single = MG1BusyPeriod(lam_l, long_service) if lam_l > 0.0 else None
+        self._interval_moments = Exponential(self.freeing_rate).moments(3)
 
     def initial_work_moments(self) -> Moments:
         """Moments of the work that starts the busy period."""
         if self.lam_l == 0.0:
             return self.long_service.moments(3)
         return initial_work_moments_nplus1(
-            self.lam_l, self.long_service, self.freeing_rate
+            self.lam_l, self.long_service, self._interval_moments
         )
 
     def moments(self) -> Moments:
-        """Return ``(E[B_{N+1}], E[B_{N+1}^2], E[B_{N+1}^3])``.
-
-        Memoized under an active :func:`repro.perf.sweep_cache` scope,
-        keyed on ``(lam_l, freeing_rate)`` and the exact long-service
-        moment triple (the only inputs of the derivation).
-        """
-        if self.lam_l == 0.0:
-            return self.initial_work_moments()
-        key = (
-            "nplus1",
-            self.lam_l,
-            self.freeing_rate,
-            tuple(self.long_service.moments(3)),
+        """Return ``(E[B_{N+1}], E[B_{N+1}^2], E[B_{N+1}^3])``
+        (:func:`nplus1_busy_period_moments` with ``E ~ Exp(freeing_rate)``)."""
+        return nplus1_busy_period_moments(
+            self.lam_l, self.long_service, self._interval_moments
         )
-        return cached("busy-moments", key, self._moments_uncached)
-
-    def _moments_uncached(self) -> Moments:
-        with span(
-            "busy.nplus1.moments",
-            lam_l=self.lam_l,
-            freeing_rate=self.freeing_rate,
-            rho_l=self.rho_l,
-        ):
-            w_moms = self.initial_work_moments()
-            delay = DelayBusyPeriod(w_moms, self.lam_l, self.long_service)
-            moms = delay.moments()
-            if not moments_look_valid(moms):
-                raise NumericalError(
-                    f"derived B_(N+1) moments look infeasible: {moms}",
-                    moments=tuple(moms),
-                )
-            return moms
 
     @property
     def mean(self) -> float:

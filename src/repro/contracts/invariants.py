@@ -241,30 +241,32 @@ def _region_fragment(analysis, params=None) -> "list[ContractResult] | None":
 def _short_throughput(analysis, params=None) -> "ContractResult | None":
     """Flow balance: in steady state shorts leave as fast as they arrive.
 
-    The departure rate is read off the solved chain state by state (how
-    many hosts serve shorts in each phase/level), which exercises the
-    stationary vector in a way none of the mean-value formulas do.
+    The departure rate weights each state's stationary mass by the exit
+    rates of the shorts in service there, read off the short-service phase
+    type rather than the chain's blocks.  That exercises the stationary
+    vector in a way none of the mean-value formulas do, and catches a
+    chain whose completion rates disagree with the service distribution.
     """
+    from ..core import CsCqAnalysis
+
     params = params if params is not None else analysis.params
     if (
-        not hasattr(analysis, "_ph_n1")  # only CS-CQ has the setup phases
-        or getattr(analysis, "degraded", False)
+        not isinstance(analysis, CsCqAnalysis)
+        or analysis.degraded
         or params.lam_s <= 0.0
     ):
         return None
     solution = analysis.solution
-    mu_s = analysis.mu_s
-    k_l = analysis._ph_l.n_phases
-    k_n = analysis._ph_n1.n_phases
+    exits = analysis.short_ph.exit_rates
+    busy_phases = analysis._ph_l.n_phases + analysis._ph_n1.n_phases
     # Level 1 (boundary): one short in service whatever the phase.
-    level1 = float(solution.level_vector(1).sum())
-    # Levels >= 2 (repeating): ZERO_L and WAIT serve two shorts, the busy-
-    # period phases serve one (the other host works the long busy period).
-    marginal = solution.phase_marginal()
-    zero_l = float(marginal[0])
-    busy = float(marginal[1 : 1 + k_l + k_n].sum())
-    wait = float(marginal[-1])
-    observed = mu_s * (level1 + 2.0 * (zero_l + wait) + busy)
+    level1 = solution.level_vector(1) @ np.tile(exits, 1 + busy_phases)
+    # Levels >= 2 (repeating): Z and W serve two shorts (joint phase
+    # (i, j)), the busy-period phases one (the other host works the long
+    # busy period).
+    pair = (exits[:, None] + exits[None, :]).ravel()
+    weights = np.concatenate([pair, np.tile(exits, busy_phases), pair])
+    observed = float(level1 + solution.phase_marginal() @ weights)
     return ContractResult(
         name="short-throughput-balance",
         passed=rel_diff(observed, params.lam_s) <= 1e-6,

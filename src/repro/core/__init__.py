@@ -4,12 +4,12 @@ from .cs_cq import (
     CsCqAnalysis,
     RegionProbabilities,
     cs_cq_long_response_saturated,
+    first_completion_moments,
+    first_completion_of_two,
     fit_busy_period,
 )
-from .cs_cq_ph import CsCqPhAnalysis, first_completion_of_two
 from .cs_cq_truncated import CsCqTruncatedChain, TruncatedResult
 from .cs_id import CsIdAnalysis, LongHostCycle, caught_short_remainder_moments
-from .cs_id_ph import CsIdPhAnalysis, catch_phase_distribution
 from .dedicated import DedicatedAnalysis
 from .params import SystemParameters, UnstableSystemError
 from .stability import (
@@ -24,6 +24,11 @@ from .stability import (
     dedicated_max_rho_s,
 )
 
+#: Former names of the phase-type chains, now the only definition of each
+#: policy (exponential shorts are the one-phase case).
+CsCqPhAnalysis = CsCqAnalysis
+CsIdPhAnalysis = CsIdAnalysis
+
 __all__ = [
     "GOLDEN_RATIO",
     "CsCqAnalysis",
@@ -37,7 +42,6 @@ __all__ = [
     "SystemParameters",
     "TruncatedResult",
     "UnstableSystemError",
-    "catch_phase_distribution",
     "caught_short_remainder_moments",
     "cs_cq_is_stable",
     "cs_cq_long_response_saturated",
@@ -48,6 +52,7 @@ __all__ = [
     "cs_id_max_rho_s",
     "dedicated_is_stable",
     "dedicated_max_rho_s",
+    "first_completion_moments",
     "first_completion_of_two",
     "fit_busy_period",
 ]

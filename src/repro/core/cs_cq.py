@@ -1,12 +1,13 @@
 """Cycle Stealing with Central Queue (CS-CQ) — the paper's contribution.
 
-The analysis follows Section 2 of the paper exactly:
+The analysis follows Section 2 of the paper:
 
 * The Markov chain tracks the number of short jobs as the (1D-infinite)
   level.  The effect of long jobs is compressed into *busy-period
   transitions* whose durations are ``B_L`` (a long busy period started by a
   single long) and ``B_{N+1}`` (a long busy period started by the work of
-  ``N+1`` longs, ``N`` = Poisson arrivals during ``Exp(2 mu_s)``).
+  ``N+1`` longs, ``N`` = Poisson arrivals during the interval ``E`` until
+  one of the two shorts in service completes).
 * Each busy-period transition is replaced by a small phase-type
   distribution matched on the busy period's first three moments (the
   paper's 2-stage Coxian; we fall back to a slightly larger acyclic PH for
@@ -15,40 +16,59 @@ The analysis follows Section 2 of the paper exactly:
   response time follows from Little's law.
 * Long jobs see an M/G/1 queue with setup time ``I``, where ``I = 0`` if
   the busy-period-starting long arrived in region 1 (zero longs, at most
-  one short in service) and ``I ~ Exp(2 mu_s)`` if it arrived in region 2
-  (zero longs, two shorts in service), with probabilities read off the
-  solved chain.
+  one short in service) and ``I = E`` if it arrived in region 2 (zero
+  longs, two shorts in service), with probabilities read off the solved
+  chain.
 
-Phase layout of the repeating levels (``n >= 2`` short jobs)::
+Section 2.2 assumes exponential shorts "for simplicity in specifying the
+Markov chain" and notes the chain is "straightforward to generalize using
+any phase-type distribution".  The chain here is that generalization:
+with short service ``PH(beta, S)`` (``k`` phases, exit vector ``v``) the
+phases carry the service phase of every short in service.  Phase layout of
+the repeating levels (``n >= 2`` short jobs)::
 
-    0               ZERO_L  - no long jobs; shorts served by both hosts
-    1 .. kL         B_L     - long busy period in progress (PH stage i)
-    kL+1 .. kL+kN   B_{N+1} - "renamed-host" busy period in progress
-    kL+kN+1         WAIT    - long waiting for the first of 2 shorts
+    Z    (k^2)     no long jobs; two shorts in service, joint phase (i, j)
+    BL   (kL x k)  B_L in progress (PH stage) x phase of the served short
+    BN   (kN x k)  B_{N+1} in progress x phase of the served short
+    W    (k^2)     region 5: a long waits for the first of 2 shorts
 
-Boundary levels 0 and 1 lack the WAIT phase (region 5 needs two shorts in
-service) and enter ``B_L`` directly on a long arrival (region 1 -> 3).
+Level 1 has ``Z1`` (``k``), ``BL`` and ``BN``; level 0 has ``EMPTY``,
+``BL`` (``kL``) and ``BN`` (``kN``).  Boundary levels lack ``W`` (region 5
+needs two shorts in service) and enter ``B_L`` directly on a long arrival
+(region 1 -> 3).  Exponential shorts are ``k = 1``: the layout collapses to
+the paper's ``ZERO_L, B_L, B_{N+1}, WAIT``.
+
+``E`` is the first completion of the two shorts in service, started from
+the stationary region-2 joint phase ``eta``.  For ``k = 1`` it is
+``Exp(2 mu_s)`` and ``eta = [1]``.  For ``k > 1`` ``eta`` depends on the
+solution, so the chain is re-solved until ``eta`` reproduces itself
+(``max |delta eta| <= FIXED_POINT_TOL``); with one phase that test passes
+after the first solve.  As in the paper, the region-5 sojourn and the
+following busy period are treated as independent.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Optional, Union
+from typing import Any, Union
 
 import numpy as np
 
-from ..busy_periods import MG1BusyPeriod, NPlusOneBusyPeriod
+from ..busy_periods import MG1BusyPeriod, nplus1_busy_period_moments
 from ..distributions import (
     Distribution,
     Exponential,
+    PhaseType,
     coxian_from_mean_scv,
     fit_phase_type,
 )
 from ..markov import QbdProcess, QbdSolution, cached_solution
 from ..queueing import Mg1SetupQueue
 from ..robustness import (
+    ConvergenceError,
     NearBoundaryWarning,
     NumericalError,
     ReproError,
@@ -58,7 +78,18 @@ from ..robustness import (
 from ..telemetry import span
 from .params import SystemParameters, UnstableSystemError
 
-__all__ = ["CsCqAnalysis", "RegionProbabilities", "cs_cq_long_response_saturated"]
+__all__ = [
+    "CsCqAnalysis",
+    "RegionProbabilities",
+    "cs_cq_long_response_saturated",
+    "first_completion_moments",
+    "first_completion_of_two",
+]
+
+#: Most chain solves the ``eta`` fixed point may take.
+MAX_FIXED_POINT_ITER = 30
+#: Convergence threshold on ``max |delta eta|`` between successive solves.
+FIXED_POINT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -104,6 +135,50 @@ def fit_busy_period(moments: tuple[float, float, float], n_moments: int) -> Dist
     raise ValueError(f"n_moments must be 1, 2 or 3, got {n_moments}")
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 2-D arrays by broadcasting (same products)."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
+def _off_diagonal(t_mat: np.ndarray) -> np.ndarray:
+    return t_mat - np.diag(np.diag(t_mat))
+
+
+def _pair_generator(short_ph: PhaseType) -> np.ndarray:
+    """Kronecker sum ``S (+) S``: the joint phase of two parallel services."""
+    ident = np.eye(short_ph.n_phases)
+    return _kron(short_ph.T, ident) + _kron(ident, short_ph.T)
+
+
+def first_completion_of_two(
+    short_ph: PhaseType, joint_initial: np.ndarray
+) -> PhaseType:
+    """PH of the time until the FIRST of two parallel PH services completes.
+
+    The joint phase process lives on ``k^2`` states with generator the
+    Kronecker sum ``S (+) S``; either job's exit absorbs.  ``joint_initial``
+    is a distribution over ordered phase pairs (row-major ``i * k + j``).
+    """
+    k = short_ph.n_phases
+    joint_initial = np.asarray(joint_initial, dtype=float).reshape(k * k)
+    return PhaseType(joint_initial, _pair_generator(short_ph))
+
+
+def first_completion_moments(
+    short_ph: PhaseType, joint_initial: np.ndarray
+) -> tuple[float, float, float]:
+    """First three moments of :func:`first_completion_of_two`, computed
+    directly: ``E[E^n] = n! eta (-(S (+) S))^{-n} 1``."""
+    sojourn = np.linalg.inv(-_pair_generator(short_ph))
+    vec = np.ones(sojourn.shape[0])
+    moments = []
+    for n in (1, 2, 3):
+        vec = sojourn @ vec
+        moments.append(math.factorial(n) * float(joint_initial @ vec))
+    return tuple(moments)
+
+
 def cs_cq_long_response_saturated(params: SystemParameters) -> float:
     """Mean long response time under CS-CQ when short jobs are *overloaded*.
 
@@ -131,8 +206,9 @@ class CsCqAnalysis:
     Parameters
     ----------
     params:
-        System parameters; short service must be exponential (the chain
-        assumption of Section 2.2 — long service is fully general).
+        System parameters.  Short service may be any distribution with a
+        phase-type representation (exponential shorts give the paper's
+        chain); long service is fully general (moments).
     n_moments:
         How many busy-period moments to match (default 3, as in the paper).
     degrade_near_boundary:
@@ -140,7 +216,7 @@ class CsCqAnalysis:
         :class:`~repro.robustness.ReproError` *within* ``boundary_margin``
         of the stability boundary, fall back to the finite-level
         :class:`~repro.core.cs_cq_truncated.CsCqTruncatedChain` (possible
-        for exponential longs only) and attach a
+        for exponential shorts and longs only) and attach a
         :class:`~repro.robustness.NearBoundaryWarning` instead of crashing
         — so figure sweeps complete end-to-end.
     boundary_margin:
@@ -168,13 +244,26 @@ class CsCqAnalysis:
                 f"CS-CQ short jobs unstable: rho_s = {params.rho_s:.4g} >= "
                 f"2 - rho_l = {2.0 - params.rho_l:.4g} (Theorem 1)"
             )
-        self.mu_s = params.mu_s  # validates the exponential-short assumption
+        self.short_ph = params.short_service.as_phase_type()
+        self.k = self.short_ph.n_phases
+        beta = self.short_ph.alpha
+        if beta.sum() < 1.0 - 1e-9:
+            raise ValueError("short service PH must have no atom at zero")
 
-        lam_l, long_service = params.lam_l, params.long_service
-        self.busy_l = MG1BusyPeriod(lam_l, long_service)
-        self.busy_n1 = NPlusOneBusyPeriod(lam_l, long_service, freeing_rate=2.0 * self.mu_s)
+        self.busy_l = MG1BusyPeriod(params.lam_l, params.long_service)
         self._ph_l = fit_busy_period(self.busy_l.moments(), n_moments).as_phase_type()
-        self._ph_n1 = fit_busy_period(self.busy_n1.moments(), n_moments).as_phase_type()
+        # First guess for the region-2 joint phase: a fresh pair of shorts.
+        self._fit_bn1(np.outer(beta, beta).ravel())
+
+    def _fit_bn1(self, eta: np.ndarray) -> None:
+        """Fit the PH stand-in for ``B_{N+1}`` given the region-2 joint
+        phase ``eta`` in which the interval ``E`` starts."""
+        self._eta = eta
+        self._interval_moments = first_completion_moments(self.short_ph, eta)
+        self._bn1_moments = nplus1_busy_period_moments(
+            self.params.lam_l, self.params.long_service, self._interval_moments
+        )
+        self._ph_n1 = fit_busy_period(self._bn1_moments, self.n_moments).as_phase_type()
 
     # ------------------------------------------------------------------
     # Graceful degradation near the stability boundary
@@ -210,24 +299,48 @@ class CsCqAnalysis:
 
     def _solution_cache_key(self) -> tuple:
         """``analysis-solution`` cache key: the chain's defining inputs
-        (rates + exact PH representations), so a sweep-cache hit skips the
-        block assembly as well as the solve.  The sweep prefetch checks
-        it to skip chains that are already solved."""
+        (rates + exact PH representations of the short service and of the
+        current busy-period fits), so a sweep-cache hit skips the block
+        assembly as well as the solve.  The sweep prefetch checks it to
+        skip chains that are already solved."""
         return (
             "cs-cq",
             self.params.lam_s,
             self.params.lam_l,
-            self.mu_s,
+            self.short_ph.alpha.tobytes(),
+            self.short_ph.T.tobytes(),
             self._ph_l.alpha.tobytes(),
             self._ph_l.T.tobytes(),
             self._ph_n1.alpha.tobytes(),
             self._ph_n1.T.tobytes(),
         )
 
+    def _fixed_point(self) -> QbdSolution:
+        """Solve the chain until the region-2 joint phase ``eta`` it reads
+        off its solution is the one its ``B_{N+1}`` fit started from."""
+        change = math.inf
+        for _ in range(MAX_FIXED_POINT_ITER):
+            solution = cached_solution(
+                self._solution_cache_key(), lambda: self._build_qbd().solve()
+            )
+            z_mass = solution.phase_marginal()[: self.k * self.k]
+            total = z_mass.sum()
+            if total <= 0.0:
+                return solution  # region 2 unreachable (lam_l == 0): exact
+            eta = z_mass / total
+            change = float(np.abs(eta - self._eta).max())
+            if change <= FIXED_POINT_TOL:
+                return solution
+            self._fit_bn1(eta)
+        raise ConvergenceError(
+            "CS-CQ phase-type fixed point did not converge",
+            residual=change,
+            iterations=MAX_FIXED_POINT_ITER,
+        )
+
     def _solve_outcome(self) -> tuple[str, Union[QbdSolution, "TruncatedResult"]]:
         try:
-            key = self._solution_cache_key()
-            return "qbd", cached_solution(key, lambda: self._build_qbd().solve())
+            return "qbd", self._fixed_point()
         except ReproError as exc:
             if not self._can_degrade():
                 raise
@@ -280,74 +393,83 @@ class CsCqAnalysis:
     # Chain construction
     # ------------------------------------------------------------------
     def _build_qbd(self) -> QbdProcess:
-        lam_s, lam_l, mu_s = self.params.lam_s, self.params.lam_l, self.mu_s
-        alpha_l, t_mat_l = self._ph_l.alpha, self._ph_l.T
-        alpha_n, t_mat_n = self._ph_n1.alpha, self._ph_n1.T
-        exit_l, exit_n = self._ph_l.exit_rates, self._ph_n1.exit_rates
-        k_l, k_n = len(alpha_l), len(alpha_n)
+        """The chain for the current ``B_{N+1}`` fit (the first fixed-point
+        iteration on a fresh analysis)."""
+        lam_s, lam_l, k = self.params.lam_s, self.params.lam_l, self.k
+        beta, v = self.short_ph.alpha, self.short_ph.exit_rates
+        k_l, k_n = self._ph_l.n_phases, self._ph_n1.n_phases
+        kk, kb = k * k, k_l + k_n
+        ident, ident_b = np.eye(k), np.eye(kb)
+        s_off = _off_diagonal(self.short_ph.T)
+        # Both in-service shorts move through their phases independently.
+        pair_internal = _kron(s_off, ident) + _kron(ident, s_off)
+        # One of two shorts (i, j) completes: rate into the survivor's phase.
+        completion = _kron(v[:, None], ident) + _kron(ident, v[:, None])
+        # A freed host starts the next queued short: survivor i -> (i, new).
+        start_next = _kron(ident, beta[None, :])
+        # The busy-period stages B_L then B_{N+1}, one block-diagonal PH.
+        t_busy = np.zeros((kb, kb))
+        t_busy[:k_l, :k_l] = self._ph_l.T
+        t_busy[k_l:, k_l:] = self._ph_n1.T
+        t_busy = _off_diagonal(t_busy)
+        exits = np.concatenate([self._ph_l.exit_rates, self._ph_n1.exit_rates])
 
-        mb = 1 + k_l + k_n  # boundary phases: ZERO_L + B_L + B_N
-        m = mb + 1  # repeating adds WAIT
-        wait = m - 1
-        bl = slice(1, 1 + k_l)
-        bn = slice(1 + k_l, 1 + k_l + k_n)
+        m, d1, d0 = 2 * kk + kb * k, k + kb * k, 1 + kb
+        z, busy, w = slice(0, kk), slice(kk, m - kk), slice(m - kk, m)
+        z1, busy1, busy0 = slice(0, k), slice(k, d1), slice(1, d0)
+        bn, bn1 = slice(kk + k_l * k, m - kk), slice(k + k_l * k, d1)
+        a1, a2 = np.zeros((m, m)), np.zeros((m, m))
+        local0, local1 = np.zeros((d0, d0)), np.zeros((d1, d1))
+        up0, up1 = np.zeros((d0, d1)), np.zeros((d1, m))
+        down1, down2 = np.zeros((d1, d0)), np.zeros((m, d1))
 
-        def ph_internal(block: np.ndarray) -> None:
-            """Install both PH internal transitions and exits to ZERO_L."""
-            sub_l = t_mat_l - np.diag(np.diag(t_mat_l))
-            sub_n = t_mat_n - np.diag(np.diag(t_mat_n))
-            block[bl, bl] += sub_l
-            block[bn, bn] += sub_n
-            block[bl, 0] += exit_l
-            block[bn, 0] += exit_n
-
-        # Repeating within-level block A1 (off-diagonal rates only).
-        a1 = np.zeros((m, m))
-        ph_internal(a1)
-        a1[0, wait] = lam_l  # region 2 -> region 5
-
-        # Up: every phase gains a short at rate lam_s, phase preserved.
-        a0 = lam_s * np.eye(m)
-
-        # Down: short completions.
-        a2 = np.zeros((m, m))
-        a2[0, 0] = 2.0 * mu_s  # both hosts on shorts
-        a2[bl, bl] = mu_s * np.eye(k_l)
-        a2[bn, bn] = mu_s * np.eye(k_n)
-        a2[wait, bn] = 2.0 * mu_s * alpha_n  # region 5 -> B_{N+1} starts
-
-        # Boundary levels 0 and 1 (no WAIT phase; long arrival starts B_L).
-        local = np.zeros((mb, mb))
-        ph_internal(local)
-        local[0, bl] = lam_l * alpha_l  # region 1 -> region 3
-
-        up0 = lam_s * np.eye(mb)  # level 0 -> 1 (same phase set)
-        up1 = np.zeros((mb, m))
-        up1[:, :mb] = lam_s * np.eye(mb)  # level 1 -> 2 (embed into repeating)
-
-        down1to0 = np.zeros((mb, mb))
-        down1to0[0, 0] = mu_s  # one short in service
-        down1to0[bl, bl] = mu_s * np.eye(k_l)
-        down1to0[bn, bn] = mu_s * np.eye(k_n)
-
-        down2to1 = np.zeros((m, mb))
-        down2to1[0, 0] = 2.0 * mu_s
-        down2to1[bl, bl] = mu_s * np.eye(k_l)
-        down2to1[bn, bn] = mu_s * np.eye(k_n)
-        down2to1[wait, bn] = 2.0 * mu_s * alpha_n
+        # Two shorts in service (Z) and region 5 (W).
+        a1[z, z] = pair_internal
+        a1[z, w] = lam_l * np.eye(kk)  # region 2 -> region 5
+        a1[w, w] = pair_internal
+        a2[z, z] = completion @ start_next
+        down2[z, z1] = completion  # the survivor continues alone
+        # Region 5 ends at the first short completion: the freed host takes
+        # the long and B_{N+1} starts with the survivor still in service.
+        a2[w, bn] = _kron(self._ph_n1.alpha[None, :], completion)
+        down2[w, bn1] = a2[w, bn]
+        # One short in service at level 1 (Z1); the empty system at level 0.
+        local1[z1, z1] = s_off
+        up0[0, z1] = lam_s * beta  # the arrival starts service at once
+        up1[z1, z] = lam_s * start_next  # the second host takes the arrival
+        down1[z1, 0] = v
+        # A long arriving in region 1 takes the idle host: B_L starts.
+        local0[0, 1 : 1 + k_l] = lam_l * self._ph_l.alpha
+        local1[z1, k : k + k_l * k] = _kron(lam_l * self._ph_l.alpha[None, :], ident)
+        # Busy-period phases: PH stage x phase of the one short in service.
+        # A stage exit frees a host, which starts the next queued short.
+        internal = _kron(t_busy, ident) + _kron(ident_b, s_off)
+        served = _kron(ident_b, np.outer(v, beta))  # queued short replaces it
+        a1[busy, busy] = internal
+        a1[busy, z] = _kron(exits[:, None], start_next)
+        a2[busy, busy] = served
+        local1[busy1, busy1] = internal
+        local1[busy1, z1] = _kron(exits[:, None], ident)
+        local0[busy0, busy0] = t_busy
+        local0[busy0, 0] = exits
+        up0[busy0, busy1] = _kron(ident_b, lam_s * beta[None, :])
+        up1[busy1, busy] = lam_s * np.eye(kb * k)
+        down1[busy1, busy0] = _kron(ident_b, v[:, None])
+        down2[busy, busy1] = served
 
         return QbdProcess(
-            boundary_local=[local, local.copy()],
+            boundary_local=[local0, local1],
             boundary_up=[up0, up1],
-            boundary_down=[down1to0, down2to1],
-            a0=a0,
+            boundary_down=[down1, down2],
+            a0=lam_s * np.eye(m),
             a1=a1,
             a2=a2,
         )
 
     @property
     def solution(self) -> QbdSolution:
-        """Stationary solution of the busy-period-transition QBD.
+        """Stationary solution of the busy-period-transition QBD (at the
+        ``eta`` fixed point).
 
         Raises the original solver error when the analysis degraded to the
         truncated fallback (which has no matrix-geometric solution); the
@@ -384,27 +506,31 @@ class CsCqAnalysis:
     def region_probabilities(self) -> RegionProbabilities:
         """Stationary probabilities of regions 1 and 2 (paper Section 2.4)."""
         sol = self.solution
-        region1 = float(sol.level_vector(0)[0] + sol.level_vector(1)[0])
-        region2 = float(sol.phase_marginal()[0])  # ZERO_L at levels >= 2
+        region1 = float(sol.level_vector(0)[0] + sol.level_vector(1)[: self.k].sum())
+        region2 = float(sol.phase_marginal()[: self.k * self.k].sum())
         return RegionProbabilities(region1=region1, region2=region2)
 
     def setup_moments(self) -> tuple[float, float]:
         """First two moments of the long jobs' setup time ``I``.
 
-        ``I = 0`` w.p. ``P(region 1 | region 1 or 2)``, else
-        ``I ~ Exp(2 mu_s)`` (first of the two shorts in service finishes,
-        thanks to host renaming).
+        ``I = 0`` w.p. ``P(region 1 | region 1 or 2)``, else ``I = E``, the
+        first completion of the two shorts in service (``Exp(2 mu_s)`` for
+        exponential shorts, thanks to host renaming).
         """
-        p_zero = self.region_probabilities().p_setup_zero
-        nu = 2.0 * self.mu_s
-        q = 1.0 - p_zero
-        return q / nu, 2.0 * q / (nu * nu)
+        q = 1.0 - self.region_probabilities().p_setup_zero
+        e1, e2, _ = self._interval_moments
+        return q * e1, q * e2
+
+    @cached_property
+    def _interval_ph(self) -> PhaseType:
+        """``E`` as a phase type, from the converged ``eta`` (read after
+        the solve)."""
+        return first_completion_of_two(self.short_ph, self._eta)
 
     def setup_lst(self, s: complex) -> complex:
-        """Transform of the setup mixture: atom at 0 plus ``Exp(2 mu_s)``."""
+        """Transform of the setup mixture: atom at 0 plus ``E``."""
         p_zero = self.region_probabilities().p_setup_zero
-        nu = 2.0 * self.mu_s
-        return p_zero + (1.0 - p_zero) * nu / (nu + s)
+        return p_zero + (1.0 - p_zero) * self._interval_ph.laplace(s)
 
     def _setup_queue(self) -> Mg1SetupQueue:
         return Mg1SetupQueue(
@@ -451,7 +577,7 @@ class CsCqAnalysis:
         """
         out: dict[str, Any] = {
             "busy_l_moments": self.busy_l.moments(),
-            "busy_n1_moments": self.busy_n1.moments(),
+            "busy_n1_moments": self._bn1_moments,
             "ph_l_phases": self._ph_l.n_phases,
             "ph_n1_phases": self._ph_n1.n_phases,
             "degraded": self.degraded,

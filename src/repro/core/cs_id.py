@@ -18,17 +18,21 @@ delay busy period.  Long jobs therefore see an M/G/1 queue with setup
 idle and ``I =`` the short's remaining service otherwise, whose moments we
 derive in closed form from the short-size transform.
 
-**Short host (QBD modulated by the long host).**  The short host is an
-M/M/1-type queue whose Poisson(``lam_s``) arrivals are admitted only while
-the long host is busy (otherwise the short runs at the long host).  The
-modulating phase process replays the long host's regenerative cycle:
-``IDLE``, ``S0`` (short at long host, no long waiting), ``S1`` (short at
-long host, >= 1 long waiting), a PH block for ``B_L``, and a PH block for
-``B_{M+1}`` (busy period started by the ``M+1`` longs present when the
-caught short finishes; ``M`` = Poisson arrivals during the remaining
-``Exp(mu_s)`` service).  In phase ``IDLE`` a short arrival changes the
-*phase*, not the level — this captures exactly the correlation between the
-hosts that CS-ID induces.
+**Short host (QBD modulated by the long host).**  The short host is a
+QBD whose Poisson(``lam_s``) arrivals are admitted only while the long host
+is busy (otherwise the short runs at the long host).  With short service
+``PH(beta, S)`` (``k`` phases; exponential shorts are ``k = 1``) a phase is
+(donor state) x (service phase of the short at the short host).  The
+donor states replay the long host's regenerative cycle: ``IDLE``, ``S(j)``
+(short at the long host in phase ``j``, no long waiting), ``S+(j)`` (ditto,
+>= 1 long waiting), a PH block for ``B_L``, and a PH block for ``B_{M+1}``
+(busy period started by the ``M+1`` longs present when the caught short
+finishes; ``M`` = Poisson arrivals during the caught short's remainder,
+whose moments :func:`caught_short_remainder_moments` gives exactly).  In
+donor state ``IDLE`` a short arrival changes the *phase*, not the level —
+this captures exactly the correlation between the hosts that CS-ID
+induces.  The donor side is autonomous, so unlike CS-CQ no fixed point is
+needed for phase-type shorts.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ from functools import cached_property
 
 import numpy as np
 
-from ..busy_periods import MG1BusyPeriod, NPlusOneBusyPeriod
+from ..busy_periods import MG1BusyPeriod, nplus1_busy_period_moments
 from ..distributions import Distribution, Exponential
 from ..markov import QbdProcess, QbdSolution, cached_solution
 from ..queueing import Mg1SetupQueue
 from ..robustness import NumericalError, SolverDiagnostics
-from .cs_cq import fit_busy_period
+from .cs_cq import _kron, _off_diagonal, fit_busy_period
 from .params import SystemParameters, UnstableSystemError
 
 __all__ = ["CsIdAnalysis", "LongHostCycle", "caught_short_remainder_moments"]
@@ -163,14 +167,18 @@ class LongHostCycle:
             raise NumericalError("degenerate long-host cycle", value=denom)
         return (1.0 - q) / denom
 
+    @cached_property
+    def remainder_moments(self) -> tuple[float, ...]:
+        """First three moments of a caught short's remaining service at the
+        donor (requires ``lam_l > 0``)."""
+        return caught_short_remainder_moments(self.short_at_donor, self.params.lam_l)
+
     def setup_moments(self) -> tuple[float, float]:
         """First two moments of the mixed setup time of long busy periods."""
         p_zero = self.prob_setup_zero
         if self.params.lam_l <= 0.0 or p_zero >= 1.0:
             return 0.0, 0.0
-        i1, i2, _ = caught_short_remainder_moments(
-            self.short_at_donor, self.params.lam_l
-        )
+        i1, i2, _ = self.remainder_moments
         weight = 1.0 - p_zero
         return weight * i1, weight * i2
 
@@ -224,8 +232,9 @@ class CsIdAnalysis:
     Parameters
     ----------
     params:
-        Short service must be exponential for the short-host QBD (same
-        assumption as the paper's CS-CQ chain); long service is general.
+        Short service may be any distribution with a phase-type
+        representation (exponential shorts give the one-phase chain);
+        long service is general.
     n_moments:
         Busy-period moments matched by the PH blocks (default 3).
     host_speeds:
@@ -245,7 +254,6 @@ class CsIdAnalysis:
         self.n_moments = n_moments
         self.host_speeds = (float(host_speeds[0]), float(host_speeds[1]))
         self.cycle = LongHostCycle(params, host_speeds=self.host_speeds)
-        self.mu_s = params.mu_s
         c_s, c_l = self.host_speeds
         # Stability of the short host: admitted rate below service rate.
         p_busy = 1.0 - self.cycle.prob_idle
@@ -254,62 +262,76 @@ class CsIdAnalysis:
                 f"CS-ID short host unstable: rho_s * P(long host busy) = "
                 f"{params.rho_s * p_busy / c_s:.4g} >= 1 (Theorem 1)"
             )
+        # Service phases of a short at the donor and at the short host.
+        self.donor_ph = self.cycle.short_at_donor.as_phase_type()
+        self.short_ph = (
+            self.donor_ph
+            if c_s == c_l
+            else params.short_service.scaled(1.0 / c_s).as_phase_type()
+        )
+        self.k = self.short_ph.n_phases
+        if self.short_ph.alpha.sum() < 1.0 - 1e-9:
+            raise ValueError("short service PH must have no atom at zero")
         lam_l = params.lam_l
         long_eff = self.cycle.long_eff
         if lam_l > 0.0:
             self.busy_l = MG1BusyPeriod(lam_l, long_eff)
-            self.busy_m1 = NPlusOneBusyPeriod(
-                lam_l, long_eff, freeing_rate=self.mu_s * c_l
+            self._bm1_moments = nplus1_busy_period_moments(
+                lam_l, long_eff, self.cycle.remainder_moments
             )
             self._ph_l = fit_busy_period(self.busy_l.moments(), n_moments).as_phase_type()
-            self._ph_m1 = fit_busy_period(self.busy_m1.moments(), n_moments).as_phase_type()
+            self._ph_m1 = fit_busy_period(self._bm1_moments, n_moments).as_phase_type()
         else:
             self.busy_l = None
-            self.busy_m1 = None
             self._ph_l = Exponential(1.0).as_phase_type()  # unreachable filler
-            self._ph_m1 = Exponential(1.0).as_phase_type()
+            self._ph_m1 = self._ph_l
 
     # ------------------------------------------------------------------
     # Short-host QBD
     # ------------------------------------------------------------------
+    def _donor_generator(self) -> np.ndarray:
+        """Off-diagonal rates of the donor state (layout: ``IDLE``,
+        ``S(k)``, ``S+(k)``, ``B_L``, ``B_{M+1}``)."""
+        lam_s, lam_l, k = self.params.lam_s, self.params.lam_l, self.k
+        beta, v = self.donor_ph.alpha, self.donor_ph.exit_rates
+        s_off = _off_diagonal(self.donor_ph.T)
+        k_l, k_m = self._ph_l.n_phases, self._ph_m1.n_phases
+        idle = 0
+        stolen = slice(1, 1 + k)
+        caught = slice(1 + k, 1 + 2 * k)
+        busy = slice(1 + 2 * k, 1 + 2 * k + k_l + k_m)  # B_L then B_{M+1}
+        bl, bm = slice(busy.start, busy.start + k_l), slice(busy.start + k_l, busy.stop)
+        donor = np.zeros((busy.stop, busy.stop))
+        donor[idle, stolen] = lam_s * beta  # short dispatched to the idle long host
+        donor[idle, bl] = lam_l * self._ph_l.alpha
+        donor[stolen, caught] = lam_l * np.eye(k)  # a long catches the short
+        donor[stolen, stolen] = s_off
+        donor[stolen, idle] = v  # uncaught short finishes at the long host
+        donor[caught, caught] = s_off
+        donor[caught, bm] = np.outer(v, self._ph_m1.alpha)  # longs take over
+        donor[bl, bl] = self._ph_l.T
+        donor[bm, bm] = self._ph_m1.T
+        donor[busy, busy] = _off_diagonal(donor[busy, busy])
+        donor[busy, idle] = np.concatenate([self._ph_l.exit_rates, self._ph_m1.exit_rates])
+        return donor
+
     def _build_qbd(self) -> QbdProcess:
-        lam_s, lam_l, mu_s = self.params.lam_s, self.params.lam_l, self.mu_s
-        alpha_l, t_l = self._ph_l.alpha, self._ph_l.T
-        alpha_m, t_m = self._ph_m1.alpha, self._ph_m1.T
-        exit_l, exit_m = self._ph_l.exit_rates, self._ph_m1.exit_rates
-        k_l, k_m = len(alpha_l), len(alpha_m)
-
-        # Phase layout: 0 IDLE, 1 S0, 2 S1, then B_L block, then B_{M+1}.
-        m = 3 + k_l + k_m
-        idle, s0, s1 = 0, 1, 2
-        bl = slice(3, 3 + k_l)
-        bm = slice(3 + k_l, 3 + k_l + k_m)
-
-        c_s, c_l = self.host_speeds
-        # Within-level phase dynamics (level = short-host queue length).
-        a1 = np.zeros((m, m))
-        a1[idle, s0] = lam_s  # short dispatched to the idle long host
-        if lam_l > 0.0:
-            a1[idle, bl] = lam_l * alpha_l
-            a1[s0, s1] = lam_l
-        a1[s0, idle] = mu_s * c_l  # uncaught short finishes at the long host
-        a1[s1, bm] = mu_s * c_l * alpha_m  # caught short done; longs take over
-        a1[bl, bl] += t_l - np.diag(np.diag(t_l))
-        a1[bm, bm] += t_m - np.diag(np.diag(t_m))
-        a1[bl, idle] += exit_l
-        a1[bm, idle] += exit_m
-
-        # Up: short arrivals join the short host in every phase but IDLE.
-        a0 = lam_s * np.eye(m)
-        a0[idle, idle] = 0.0
-
-        # Down: the short host always serves its queue.
-        a2 = mu_s * c_s * np.eye(m)
-
+        lam_s = self.params.lam_s
+        beta, v = self.short_ph.alpha, self.short_ph.exit_rates
+        donor = self._donor_generator()
+        d, ident_k = donor.shape[0], np.eye(self.k)
+        ident_d = np.eye(d)
+        # Short arrivals join the short host in every donor state but IDLE.
+        admitted = ident_d.copy()
+        admitted[0, 0] = 0.0
+        # Level >= 1 phases: (donor state) x (short-host service phase).
+        a1 = _kron(donor, ident_k) + _kron(ident_d, _off_diagonal(self.short_ph.T))
+        a0 = lam_s * _kron(admitted, ident_k)
+        a2 = _kron(ident_d, np.outer(v, beta))  # the short host serves its queue
         return QbdProcess(
-            boundary_local=[a1.copy()],
-            boundary_up=[a0.copy()],
-            boundary_down=[a2.copy()],
+            boundary_local=[donor],
+            boundary_up=[_kron(admitted, lam_s * beta[None, :])],
+            boundary_down=[_kron(ident_d, v[:, None])],
             a0=a0,
             a1=a1,
             a2=a2,
@@ -332,8 +354,10 @@ class CsIdAnalysis:
             "cs-id",
             self.params.lam_s,
             self.params.lam_l,
-            self.mu_s,
-            self.host_speeds,
+            self.short_ph.alpha.tobytes(),
+            self.short_ph.T.tobytes(),
+            self.donor_ph.alpha.tobytes(),
+            self.donor_ph.T.tobytes(),
             self._ph_l.alpha.tobytes(),
             self._ph_l.T.tobytes(),
             self._ph_m1.alpha.tobytes(),
@@ -345,17 +369,14 @@ class CsIdAnalysis:
         """Diagnostics of the short-host QBD solve (method, rungs, residuals)."""
         return self.solution.diagnostics
 
-    def _phase_probabilities(self) -> np.ndarray:
-        sol = self.solution
-        return sol.level_vector(0) + sol.phase_marginal()
-
     def prob_long_host_idle(self) -> float:
         """P(long host idle), from the QBD phase marginal.
 
         Must agree with :attr:`LongHostCycle.prob_idle`; asserted in tests
         as an internal consistency check.
         """
-        return float(self._phase_probabilities()[0])
+        sol = self.solution
+        return float(sol.level_vector(0)[0] + sol.phase_marginal()[: self.k].sum())
 
     # ------------------------------------------------------------------
     # Response times

@@ -11,6 +11,7 @@ formulas.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -43,22 +44,25 @@ class PhaseType(Distribution):
             raise ValueError(
                 f"alpha has {alpha.shape[0]} entries but T is {T.shape[0]}x{T.shape[0]}"
             )
-        if np.any(alpha < -1e-12) or alpha.sum() > 1.0 + 1e-9:
+        if (alpha < -1e-12).any() or alpha.sum() > 1.0 + 1e-9:
             raise ValueError(f"alpha must be a (sub)probability vector, got {alpha}")
-        if np.any(np.diag(T) > 0.0):
+        diagonal = T.diagonal()
+        if (diagonal > 0.0).any():
             raise ValueError("diagonal of T must be nonpositive")
-        offdiag = T - np.diag(np.diag(T))
-        if np.any(offdiag < -1e-12):
+        if (T - np.diag(diagonal) < -1e-12).any():
             raise ValueError("off-diagonal entries of T must be nonnegative")
         exit_rates = -T.sum(axis=1)
-        if np.any(exit_rates < -1e-9):
+        if (exit_rates < -1e-9).any():
             raise ValueError("row sums of T must be nonpositive (valid sub-generator)")
-        self.alpha = np.clip(alpha, 0.0, None)
+        self.alpha = np.maximum(alpha, 0.0)
         self.T = T
-        self.exit_rates = np.clip(exit_rates, 0.0, None)
+        self.exit_rates = np.maximum(exit_rates, 0.0)
         self._n = T.shape[0]
-        # Cache (-T)^{-1}, the matrix of expected sojourn times.
-        self._U = np.linalg.inv(-T)
+
+    @cached_property
+    def _U(self) -> np.ndarray:
+        """``(-T)^{-1}``, the matrix of expected sojourn times (on first use)."""
+        return np.linalg.inv(-self.T)
 
     # ------------------------------------------------------------------
     @property

@@ -37,10 +37,8 @@ from typing import Any, Optional
 
 from ..core import (
     CsCqAnalysis,
-    CsCqPhAnalysis,
     CsCqTruncatedChain,
     CsIdAnalysis,
-    CsIdPhAnalysis,
     DedicatedAnalysis,
     SystemParameters,
     UnstableSystemError,
@@ -48,7 +46,6 @@ from ..core import (
     cs_id_is_stable,
     dedicated_is_stable,
 )
-from ..distributions import Exponential
 from ..orchestration.spec import point_key
 from ..perf import SweepCache
 from ..queueing import Mg1Queue
@@ -211,11 +208,10 @@ def exact_rung(query: ScenarioQuery) -> "dict[str, float]":
     """
     case = query.workload()
     params = case.params(float(query.rho_s), float(query.rho_l))
-    exponential_shorts = isinstance(params.short_service, Exponential)
     classes = {
         "Dedicated": DedicatedAnalysis,
-        "CS-ID": CsIdAnalysis if exponential_shorts else CsIdPhAnalysis,
-        "CS-CQ": CsCqAnalysis if exponential_shorts else CsCqPhAnalysis,
+        "CS-ID": CsIdAnalysis,
+        "CS-CQ": CsCqAnalysis,
     }
     values: "dict[str, float]" = {}
     captured: "dict[str, Any]" = {}

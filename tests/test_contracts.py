@@ -117,6 +117,38 @@ class TestAnalysisContracts:
         assert "littles-law-short" in names
         assert "short-throughput-balance" in names
 
+    def test_all_pass_with_two_phase_shorts(self):
+        """k = 2 (Erlang-2 shorts): the throughput balance weights each
+        state by the exit rates of the shorts in service."""
+        params = SystemParameters.from_loads(rho_s=0.9, rho_l=0.5, short_scv=0.5)
+        analysis = CsCqAnalysis(params)
+        assert analysis.k == 2
+        results = evaluate("analysis", analysis, params=params)
+        assert "short-throughput-balance" in {result.name for result in results}
+        assert all(result.passed for result in results)
+
+    @pytest.mark.parametrize("short_scv", [1.0, 0.5])
+    def test_throughput_balance_catches_scaled_down_rates(self, short_scv):
+        """Short completions in the repeating down block at 80% of the
+        service distribution's exit rates: the chain still solves, but its
+        departures no longer match the PH-weighted rate."""
+        params = SystemParameters.from_loads(
+            rho_s=0.6, rho_l=0.3, short_scv=short_scv
+        )
+        analysis = CsCqAnalysis(params)
+        build = analysis._build_qbd
+
+        def mutated():
+            process = build()
+            process.a2 = 0.8 * process.a2
+            return process
+
+        analysis._build_qbd = mutated
+        (result,) = evaluate(
+            "analysis", analysis, params=params, names=["short-throughput-balance"]
+        )
+        assert not result.passed
+
     def test_solution_contracts_pass(self, moderate_analysis):
         results = evaluate("solution", moderate_analysis.solution)
         assert {result.name for result in results} >= {

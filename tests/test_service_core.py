@@ -5,6 +5,9 @@ import json
 
 import pytest
 
+import repro.contracts
+from repro.contracts import contracts_for
+from repro.core import CsCqAnalysis, CsIdAnalysis
 from repro.orchestration import inject_faults
 from repro.perf import SweepCache
 from repro.robustness import CircuitBreaker, ServiceOverloadError
@@ -59,6 +62,42 @@ class TestHappyPath:
         assert answer.status == "rejected"
         assert answer.error["type"] == "KeyError"
         assert registry().counter("service.rejected") == 1
+
+
+class TestPhaseTypeShorts:
+    @pytest.mark.parametrize("short_scv", [0.5, 4.0])
+    def test_answered_exactly_with_every_contract(self, monkeypatch, short_scv):
+        """Non-exponential shorts are answered by the exact rung: the same
+        values as a direct analysis, every analysis contract evaluated and
+        passing."""
+        monkeypatch.delenv("REPRO_NO_CONTRACTS", raising=False)
+        evaluated = []
+        evaluate = repro.contracts.evaluate
+
+        def spy(kind, subject, *args, **kwargs):
+            results = evaluate(kind, subject, *args, **kwargs)
+            if kind == "analysis":
+                evaluated.append((type(subject), results))
+            return results
+
+        monkeypatch.setattr(repro.contracts, "evaluate", spy)
+        case = {"mean_short": 1.0, "mean_long": 1.0, "short_scv": short_scv, "long_scv": 1.0}
+        query = ScenarioQuery(rho_s=0.9, rho_l=0.5, case=case, label="ph-shorts")
+        with QueryService(workers=2, name="t") as service:
+            (answer,) = service.run_batch([query])
+        assert answer.status == "answered"
+        assert answer.fidelity == "exact"
+        params = query.workload().params(0.9, 0.5)
+        assert params.short_service.as_phase_type().n_phases == 2
+        for policy, cls in (("CS-ID", CsIdAnalysis), ("CS-CQ", CsCqAnalysis)):
+            assert answer.values[policy] == cls(params).mean_response_time_short()
+        names = {
+            cls: {result.name for result in results if result.passed}
+            for cls, results in evaluated
+        }
+        assert all(result.passed for _, results in evaluated for result in results)
+        assert names[CsCqAnalysis] == {spec.name for spec in contracts_for("analysis")}
+        assert names[CsIdAnalysis] == {"littles-law-short", "littles-law-long"}
 
 
 class TestDeadlines:
