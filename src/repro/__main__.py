@@ -131,20 +131,33 @@ def cmd_figure(args) -> int:
     if args.grid:
         grid = [float(token) for token in args.grid.split(",") if token.strip()]
 
-    # Figures 4-6 sweep real solver/simulation work, so they run through the
-    # fault-tolerant orchestration layer: worker subprocesses, per-point
-    # timeouts, and a checkpoint journal + manifest under --checkpoint-dir.
-    # Figure 3 is closed-form stability algebra and stays in-process.
+    # Figures 4-6 sweep real solver work, so they run through the
+    # orchestration layer: a checkpoint journal + manifest under
+    # --checkpoint-dir, points in this process by default, and worker
+    # subprocesses for isolation and per-point timeouts.  Figure 3 is
+    # closed-form stability algebra and stays in-process.
     runner = None
     if args.number in (4, 5, 6):
         from pathlib import Path
 
-        from .orchestration import SweepRunner
+        from .orchestration import SweepRunner, faults
 
+        workers = args.workers
+        if workers is None:
+            # Only a worker can be killed on a timeout or crash on demand.
+            isolate = args.timeout is not None or os.environ.get(faults.ENV_POINTS)
+            workers = 1 if isolate else 0
+        elif workers == 0 and args.timeout is not None:
+            print(
+                "figure: --timeout needs a worker subprocess; "
+                "drop --workers 0 or pass --workers 1 or more",
+                file=sys.stderr,
+            )
+            return 2
         checkpoint_dir = Path(args.checkpoint_dir)
         run_name = args.name or f"figure{args.number}"
         runner = SweepRunner(
-            workers=args.workers,
+            workers=workers,
             timeout=args.timeout,
             journal_path=checkpoint_dir / f"{run_name}.journal.jsonl",
             manifest_path=checkpoint_dir / f"{run_name}.manifest.json",
@@ -751,18 +764,19 @@ def main(argv: "list[str] | None" = None) -> int:
     p_fig.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help="worker subprocesses for the sweep (0 = in-process, no isolation; "
-        "each row's QBDs are then solved in stacked LAPACK calls before the "
-        "per-point loop, which prints the same tables, since every value, "
-        "warning and contract check still comes from that loop)",
+        default=None,
+        help="worker subprocesses for the sweep, for isolation and timeouts "
+        "(default 0 = in-process, where each row's QBDs are first solved in "
+        "stacked LAPACK calls; the tables are the same either way).  "
+        "--timeout or REPRO_FAULT_POINTS without --workers implies 1",
     )
     p_fig.add_argument(
         "--timeout",
         type=float,
         default=None,
         help="per-point timeout in seconds; a hung point is killed and "
-        "plotted as NaN while the sweep continues",
+        "plotted as NaN while the sweep continues (needs a worker: implies "
+        "--workers 1, and --workers 0 with it is an error)",
     )
     p_fig.add_argument(
         "--resume",

@@ -55,14 +55,15 @@ import threading
 import time
 import warnings
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
+# ``ProcessPoolExecutor`` and ``multiprocessing`` load only on the pool
+# path: an in-process sweep never pays for them.
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable, Optional
 
 import json
-import multiprocessing
 
 from ..perf import clear_cache_scope, sweep_cache
 from ..robustness import (
@@ -271,6 +272,8 @@ class _WorkerSlot:
 
     def submit(self, index: int, point: SweepPoint, timeout: "float | None") -> None:
         if self._executor is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._executor = ProcessPoolExecutor(
                 max_workers=1, mp_context=self._mp_context
             )
@@ -328,8 +331,9 @@ class SweepRunner:
     workers:
         Worker subprocesses.  ``0`` runs points inline in the driver
         process — no isolation and no timeout enforcement, but the same
-        classification, journaling and resume semantics (handy for
-        debugging and cheap tests).
+        classification, journaling, resume and SIGINT/SIGTERM handling
+        (the ``figure`` CLI's default; the stacked-solve prefetch then
+        seeds the points' shared cache scope).
     timeout:
         Per-point wall-clock budget in seconds; a point that exceeds it
         is classified ``timeout``, its worker is killed and replaced,
@@ -396,13 +400,6 @@ class SweepRunner:
         self.run_name = run_name
         self.poll_interval = poll_interval
         self.retry_failed_on_resume = retry_failed_on_resume
-        if mp_context is None or isinstance(mp_context, str):
-            method = mp_context or (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-            mp_context = multiprocessing.get_context(method)
         self._mp_context = mp_context
         self.journal = CheckpointJournal(journal_path) if journal_path else None
         if self.journal is not None and not resume:
@@ -638,8 +635,10 @@ class SweepRunner:
 
     def _run_inline(self, queue, outcomes, budget=None) -> "list[PointOutcome]":
         abort_at = faults.abort_after()
+        previous_handlers = self._install_signal_handlers()
         try:
             while queue:
+                self._raise_if_signaled()
                 if budget is not None and budget.expired:
                     self._shed_remaining(queue, outcomes, budget)
                     break
@@ -652,7 +651,17 @@ class SweepRunner:
         return outcomes
 
     def _run_pool(self, queue, outcomes, budget=None) -> "list[PointOutcome]":
-        slots = [_WorkerSlot(self._mp_context) for _ in range(self.workers)]
+        mp_context = self._mp_context
+        if mp_context is None or isinstance(mp_context, str):
+            import multiprocessing
+
+            method = mp_context or (
+                "fork"
+                if "fork" in multiprocessing.get_all_start_methods()
+                else "spawn"
+            )
+            mp_context = multiprocessing.get_context(method)
+        slots = [_WorkerSlot(mp_context) for _ in range(self.workers)]
         abort_at = faults.abort_after()
         previous_handlers = self._install_signal_handlers()
         try:
@@ -772,8 +781,9 @@ class SweepRunner:
         slot.clear()
         return payload
 
-    # Signal handling: the handlers only set a flag; the run loop turns it
-    # into an orderly teardown (every completed point's journal line is
+    # Signal handling (pool and inline loops alike): the handlers only set
+    # a flag, checked between points; the run loop turns it into an
+    # orderly teardown (every completed point's journal line is
     # already appended and fsynced) and re-raises so the process exits
     # with the conventional status.
 

@@ -259,6 +259,27 @@ class TestFigurePool:
         assert _qbd_solves() == solves_after_first
 
 
+class TestWarmStorePrefetch:
+    def test_warm_store_rerun_solves_nothing(self, tmp_path):
+        # A fresh scope on a store a cold sweep filled: the prefetch must
+        # see the stored analysis solutions, not re-solve every row.
+        case = COXIAN_LONG_CASES[0]
+        pairs = [(1.5, rho_l) for rho_l in (0.1, 0.3, 0.45)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with sweep_cache(store=ResultStore(tmp_path / "store")):
+                cold = _sweep_policy_values(case, pairs, "short")
+            store = ResultStore(tmp_path / "store")
+            before = _qbd_solves()
+            with sweep_cache(store=store):
+                warm = _sweep_policy_values(case, pairs, "short")
+        assert _qbd_solves() == before
+        assert store.session_stats()["misses"] == 0
+        assert store.session_stats()["hits"] > 0
+        for label in _POLICY_LABELS:
+            np.testing.assert_array_equal(warm[label], cold[label])
+
+
 class TestRejectedStacks:
     """Points the stack does not accept fall through to the per-point
     ladder, which produces the same values."""

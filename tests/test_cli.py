@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -44,6 +46,27 @@ class TestCli:
         assert main(["figure", "3"]) == 0
         out = capsys.readouterr().out
         assert "Stability condition" in out
+
+    def test_figure4_runs_in_process_by_default(self, tmp_path, capsys, monkeypatch):
+        args = ["figure", "4", "--grid", "0.3,0.9", "--checkpoint-dir", str(tmp_path)]
+        assert main(args + ["--name", "default"]) == 0
+        assert main(args + ["--name", "timed", "--timeout", "30"]) == 0
+        monkeypatch.setenv("REPRO_FAULT_POINTS", "numerical:no-such-point")
+        assert main(args + ["--name", "faulted"]) == 0
+        workers = {
+            name: json.loads((tmp_path / f"{name}.manifest.json").read_text())["workers"]
+            for name in ("default", "timed", "faulted")
+        }
+        # Timeouts and injected faults need a killable worker: they imply one.
+        assert workers == {"default": 0, "timed": 1, "faulted": 1}
+
+    def test_figure_rejects_inline_timeout(self, tmp_path, capsys):
+        code = main(
+            ["figure", "4", "--grid", "0.3,0.9", "--workers", "0", "--timeout", "5",
+             "--checkpoint-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "--timeout" in capsys.readouterr().err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

@@ -141,14 +141,14 @@ _SIGTERM_DRIVER = textwrap.dedent(
     import sys
     from repro.orchestration import SweepPoint, SweepRunner
 
-    tmp = sys.argv[1]
+    tmp, workers = sys.argv[1], int(sys.argv[2])
     points = [
         SweepPoint(task="demo-point", kwargs={"x": i, "sleep": 0.4},
                    label=f"demo/x={i}")
         for i in range(8)
     ]
     runner = SweepRunner(
-        workers=1,
+        workers=workers,
         journal_path=f"{tmp}/j.jsonl",
         manifest_path=f"{tmp}/m.json",
         run_name="sigterm-test",
@@ -160,6 +160,15 @@ _SIGTERM_DRIVER = textwrap.dedent(
 
 class TestSigterm:
     def test_sigterm_flushes_journal_and_resumes(self, tmp_path):
+        self._sigterm_and_resume(tmp_path, workers=1)
+
+    def test_inline_sigterm_flushes_journal_and_resumes(self, tmp_path):
+        # In-process points get the same flag handlers, checked between
+        # points: the driver finishes the point in hand, then exits 143.
+        self._sigterm_and_resume(tmp_path, workers=0)
+
+    @staticmethod
+    def _sigterm_and_resume(tmp_path, workers):
         env = dict(os.environ)
         src = Path(__file__).resolve().parent.parent / "src"
         env["PYTHONPATH"] = os.pathsep.join(
@@ -167,7 +176,8 @@ class TestSigterm:
         )
         journal_path = tmp_path / "j.jsonl"
         proc = subprocess.Popen(
-            [sys.executable, "-c", _SIGTERM_DRIVER, str(tmp_path)], env=env
+            [sys.executable, "-c", _SIGTERM_DRIVER, str(tmp_path), str(workers)],
+            env=env,
         )
         try:
             # wait until at least one point is journaled, then SIGTERM

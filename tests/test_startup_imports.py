@@ -4,7 +4,8 @@
 import time, yet only the simulation confidence intervals and the
 truncated chain use them.  Both are imported inside the functions that
 need them; a stray module-level import would silently put the cost back
-on every CLI start, so this test fails instead.
+on every CLI start, so this test fails instead.  Likewise, the default
+in-process ``figure`` run must not import the worker-pool modules.
 """
 
 import os
@@ -29,14 +30,33 @@ assert not heavy_loaded(), f"figure 4 loaded {heavy_loaded()}"
 """
 
 
-def test_cli_and_figure4_leave_heavy_scipy_unloaded(tmp_path):
+#: The default ``figure`` run is in-process, so it must not load the
+#: worker-pool machinery; the runner's ``wait`` stays a module attribute
+#: (timing harnesses wrap it to measure worker waits).
+_DEFAULT_PROBE = """
+import sys
+import repro.__main__
+
+status = repro.__main__.main(
+    ["figure", "4", "--grid", "0.3,0.9", "--checkpoint-dir", sys.argv[1]]
+)
+assert status == 0, status
+pool = [m for m in ("multiprocessing", "concurrent.futures.process")
+        if m in sys.modules]
+assert not pool, f"default figure 4 loaded {pool}"
+import repro.orchestration.runner
+assert callable(repro.orchestration.runner.wait)
+"""
+
+
+def _run_probe(probe, tmp_path):
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(tmp_path / "ckpt")],
+        [sys.executable, "-c", probe, str(tmp_path / "ckpt")],
         env=env,
         cwd=tmp_path,
         capture_output=True,
@@ -44,3 +64,11 @@ def test_cli_and_figure4_leave_heavy_scipy_unloaded(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_and_figure4_leave_heavy_scipy_unloaded(tmp_path):
+    _run_probe(_PROBE, tmp_path)
+
+
+def test_default_figure4_leaves_worker_pool_unloaded(tmp_path):
+    _run_probe(_DEFAULT_PROBE, tmp_path)
