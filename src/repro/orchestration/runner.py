@@ -647,6 +647,7 @@ class SweepRunner:
                 self._complete(index, point, payload, outcomes)
                 self._check_injected_abort(abort_at)
         finally:
+            self._restore_signal_handlers(previous_handlers)
             self._write_manifest()
         return outcomes
 
@@ -781,14 +782,19 @@ class SweepRunner:
         slot.clear()
         return payload
 
-    # Signal handling (pool and inline loops alike): the handlers only set
-    # a flag, checked between points; the run loop turns it into an
+    # Signal handling (pool and inline loops alike): the first signal only
+    # sets a flag, checked between points; the run loop turns it into an
     # orderly teardown (every completed point's journal line is
     # already appended and fsynced) and re-raises so the process exits
-    # with the conventional status.
+    # with the conventional status.  A second signal before the loop has
+    # acted raises at once, so a long in-process point can still be
+    # stopped; the loop's ``finally`` writes the manifest either way.
 
     def _on_signal(self, signum, _frame) -> None:
+        pending = self._signal is not None
         self._signal = signum
+        if pending:
+            self._raise_if_signaled()
 
     def _raise_if_signaled(self) -> None:
         if self._signal is None:

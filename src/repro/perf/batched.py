@@ -83,7 +83,9 @@ def prefetch_sweep_solutions(
             for cls in classes:
                 try:
                     analysis = cls(case.params(rho_s, rho_l))
-                    if _already_solved(cache, analysis._solution_cache_key()):
+                    if cache.preload(
+                        "analysis-solution", analysis._solution_cache_key()
+                    ):
                         continue
                     process = analysis._build_qbd()
                 except Exception:  # noqa: BLE001
@@ -114,19 +116,6 @@ def prefetch_sweep_solutions(
         counter_inc("qbd.solves", seeded)
         counter_inc("qbd.r_matrix.solves", seeded)
         counter_inc("qbd.r_matrix.method.logarithmic-reduction", seeded)
-
-
-def _already_solved(cache, key) -> bool:
-    """True when the per-point ``analysis-solution`` lookup will hit.
-
-    Memory first (a free probe, no count); then, with a persistent store
-    attached, :meth:`~repro.perf.cache.SweepCache.lookup`, which memoizes
-    a store hit so the per-point lookup is a memory hit.  A warm
-    ``--store`` rerun thus solves nothing here.
-    """
-    if cache.contains("analysis-solution", key):
-        return True
-    return cache.store is not None and cache.lookup("analysis-solution", key)[0]
 
 
 def _with_diagonal_batched(local: np.ndarray, out_rates: np.ndarray) -> np.ndarray:

@@ -244,6 +244,25 @@ class SweepCache:
         with self._lock:
             return (namespace, key) in self._entries
 
+    def preload(self, namespace: str, key: Hashable) -> bool:
+        """True when a lookup of ``(namespace, key)`` will hit memory.
+
+        Like :meth:`contains`, but a memory miss consults the persistent
+        store and memoizes a store hit.  No hit or miss is recorded and
+        nothing is written back: the lookup that follows counts itself.
+        The sweep prefetch uses this to skip chains a warm ``--store``
+        rerun already has on disk.
+        """
+        full_key = (namespace, key)
+        with self._lock:
+            if full_key in self._entries:
+                return True
+        found, value = self._store_get(namespace, key)
+        if found:
+            with self._lock:
+                self._insert_locked(full_key, value)
+        return found
+
     def values(self, namespace: str) -> "list[Any]":
         """All values memoized under ``namespace`` (used by the bench
         harness to summarize solver diagnostics across a sweep)."""

@@ -271,11 +271,17 @@ class TestWarmStorePrefetch:
                 cold = _sweep_policy_values(case, pairs, "short")
             store = ResultStore(tmp_path / "store")
             before = _qbd_solves()
-            with sweep_cache(store=store):
+            with sweep_cache(store=store) as warm_cache:
                 warm = _sweep_policy_values(case, pairs, "short")
         assert _qbd_solves() == before
         assert store.session_stats()["misses"] == 0
         assert store.session_stats()["hits"] > 0
+        assert store.session_stats()["writes"] == 0
+        # The prefetch's store probe counts nothing: one cache event per
+        # stored solution, like a worker run's per-point lookups.
+        ns = "analysis-solution"
+        assert warm_cache.misses[ns] == 0
+        assert warm_cache.hits[ns] == store.session_stats()["by_namespace"][ns]["hits"]
         for label in _POLICY_LABELS:
             np.testing.assert_array_equal(warm[label], cold[label])
 

@@ -158,6 +158,46 @@ _SIGTERM_DRIVER = textwrap.dedent(
 )
 
 
+_LONG_POINT_DRIVER = textwrap.dedent(
+    """
+    import sys
+    from repro.orchestration import SweepPoint, SweepRunner
+
+    tmp = sys.argv[1]
+    points = [
+        SweepPoint(task="demo-point", kwargs={"x": i, "sleep": 0.1 if i == 0 else 120},
+                   label=f"demo/x={i}")
+        for i in range(3)
+    ]
+    runner = SweepRunner(
+        workers=0,
+        journal_path=f"{tmp}/j.jsonl",
+        manifest_path=f"{tmp}/m.json",
+        run_name="sigterm-twice",
+    )
+    runner.run(points)
+    """
+)
+
+
+def _driver_env():
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
+def _wait_for_journal(journal_path):
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        if journal_path.exists() and journal_path.read_text().strip():
+            return
+        time.sleep(0.05)
+    pytest.fail("driver never journaled a point")
+
+
 class TestSigterm:
     def test_sigterm_flushes_journal_and_resumes(self, tmp_path):
         self._sigterm_and_resume(tmp_path, workers=1)
@@ -167,27 +207,55 @@ class TestSigterm:
         # points: the driver finishes the point in hand, then exits 143.
         self._sigterm_and_resume(tmp_path, workers=0)
 
+    def test_second_sigterm_stops_a_long_inline_point(self, tmp_path):
+        # The first signal waits for the point in hand; a second one must
+        # not, or a stuck in-process point could only be SIGKILLed.
+        journal_path = tmp_path / "j.jsonl"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _LONG_POINT_DRIVER, str(tmp_path)],
+            env=_driver_env(),
+        )
+        try:
+            _wait_for_journal(journal_path)
+            time.sleep(0.5)  # the 120 s point is now running
+            proc.send_signal(signal.SIGTERM)
+            time.sleep(0.5)
+            assert proc.poll() is None  # first signal deferred to the next gap
+            proc.send_signal(signal.SIGTERM)
+            returncode = proc.wait(timeout=30.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert returncode == 128 + signal.SIGTERM
+        assert len(journal_path.read_text().splitlines()) == 1
+        manifest = json.loads((tmp_path / "m.json").read_text())
+        assert manifest["interrupted"] == "SIGTERM"
+
+    def test_inline_run_restores_signal_handlers(self, tmp_path):
+        # Called once per figure row: each call must hand the process's
+        # SIGINT/SIGTERM handlers back, or Ctrl-C is ignored afterwards.
+        before = {s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)}
+        runner = SweepRunner(
+            workers=0,
+            journal_path=tmp_path / "j.jsonl",
+            manifest_path=tmp_path / "m.json",
+        )
+        runner.run(_demo_points(2))
+        runner.run(_demo_points(3))
+        after = {s: signal.getsignal(s) for s in (signal.SIGINT, signal.SIGTERM)}
+        assert after == before
+
     @staticmethod
     def _sigterm_and_resume(tmp_path, workers):
-        env = dict(os.environ)
-        src = Path(__file__).resolve().parent.parent / "src"
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
         journal_path = tmp_path / "j.jsonl"
         proc = subprocess.Popen(
             [sys.executable, "-c", _SIGTERM_DRIVER, str(tmp_path), str(workers)],
-            env=env,
+            env=_driver_env(),
         )
         try:
             # wait until at least one point is journaled, then SIGTERM
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                if journal_path.exists() and journal_path.read_text().strip():
-                    break
-                time.sleep(0.05)
-            else:
-                pytest.fail("driver never journaled a point")
+            _wait_for_journal(journal_path)
             proc.send_signal(signal.SIGTERM)
             returncode = proc.wait(timeout=30.0)
         finally:

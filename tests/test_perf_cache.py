@@ -16,6 +16,7 @@ import pytest
 from repro.experiments import figures
 from repro.markov import QbdProcess
 from repro.perf import SweepCache, active_cache, cached, sweep_cache
+from repro.perf.store import ResultStore
 
 
 class TestSweepCacheUnit:
@@ -68,6 +69,18 @@ class TestSweepCacheUnit:
         assert stats["hits"] == 1 and stats["misses"] == 2
         assert stats["by_namespace"]["ns"]["hit_rate"] == 0.5
         assert cache.values("ns") == ["x"]
+
+    def test_preload_memoizes_store_hits_without_counting(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        SweepCache(store=store).get_or_compute("ph-fit", "k", lambda: 2.5)
+        cache = SweepCache(store=ResultStore(tmp_path / "store"))
+        assert cache.preload("ph-fit", "k")
+        assert not cache.preload("ph-fit", "absent")
+        assert cache.contains("ph-fit", "k")
+        assert cache.stats()["hits"] == 0 and cache.stats()["misses"] == 0
+        assert cache.store.session_stats()["writes"] == 0
+        assert cache.lookup("ph-fit", "k") == (True, 2.5)
+        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 0
 
 
 class TestDiagnosticsObservability:
