@@ -9,8 +9,6 @@ computations.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..distributions import Distribution, fit_phase_type
 from ..perf import cached
 from ..telemetry import span

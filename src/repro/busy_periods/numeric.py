@@ -9,7 +9,7 @@ to catch any algebra mistake in the closed forms.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

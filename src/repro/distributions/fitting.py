@@ -24,7 +24,7 @@ from .base import Distribution
 from .coxian import Coxian, coxian2
 from .exponential import Exponential
 from .hyperexponential import Hyperexponential
-from .moments import check_feasible_moments, scv_from_moments
+from .moments import check_feasible_moments
 from .phase_type import PhaseType
 
 __all__ = [

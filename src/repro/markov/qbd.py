@@ -44,7 +44,6 @@ from ..robustness import (
     NumericalError,
     ReproError,
     Rung,
-    RungAttempt,
     SolverDiagnostics,
     UnstableSystemError,
     ValidationError,
@@ -122,13 +121,19 @@ def _assess_trust(
 #: ``max_iter=200`` this reproduces the historical 500000-iteration limit.
 _SUBSTITUTION_ITER_FACTOR = 2500
 
+#: Default tolerance and iteration budget of the R-matrix ladder.  The
+#: sweep prefetch (:mod:`repro.perf.batched`) runs its stacked rung 1 with
+#: the same two values, so a seeded R is bit-identical to the scalar one.
+R_TOL = 1e-13
+R_MAX_ITER = 200
+
 
 def solve_r_matrix(
     a0: np.ndarray,
     a1: np.ndarray,
     a2: np.ndarray,
-    tol: float = 1e-13,
-    max_iter: int = 200,
+    tol: float = R_TOL,
+    max_iter: int = R_MAX_ITER,
 ) -> np.ndarray:
     """Minimal nonnegative solution of ``A0 + R A1 + R^2 A2 = 0``.
 
@@ -151,8 +156,8 @@ def solve_r_matrix_with_diagnostics(
     a0: np.ndarray,
     a1: np.ndarray,
     a2: np.ndarray,
-    tol: float = 1e-13,
-    max_iter: int = 200,
+    tol: float = R_TOL,
+    max_iter: int = R_MAX_ITER,
 ) -> tuple[np.ndarray, SolverDiagnostics]:
     """R-matrix solve through the fallback ladder, with the attempt log.
 
@@ -167,11 +172,6 @@ def solve_r_matrix_with_diagnostics(
        ``4 * max_iter`` iterations, for chains where the default
        uniformization is numerically unlucky.
 
-    Inside an active :func:`repro.perf.sweep_cache` scope the solve is
-    memoized on the exact block bytes (plus ``tol`` / ``max_iter``); a hit
-    returns the bit-identical matrix with ``cache_hit=True`` on the
-    diagnostics.
-
     Raises
     ------
     ConvergenceError
@@ -182,47 +182,28 @@ def solve_r_matrix_with_diagnostics(
     a1 = np.asarray(a1, dtype=float)  # carries the negative diagonal
     a2 = _as_matrix(a2, "a2")
 
-    def compute() -> tuple[np.ndarray, SolverDiagnostics]:
-        with span("qbd.r_matrix", size=a1.shape[0], tol=tol, max_iter=max_iter) as sp:
-            r, diagnostics = _compute_r_uncached(a0, a1, a2, tol, max_iter)
-            sp.set("method", diagnostics.method)
-            sp.set("residual", diagnostics.residual)
-            sp.set("iterations", diagnostics.iterations)
-            sp.set("spectral_radius", diagnostics.spectral_radius)
-            sp.set("rung_iterations", diagnostics.rung_iterations)
-        counter_inc("qbd.r_matrix.solves")
-        counter_inc(f"qbd.r_matrix.method.{diagnostics.method}")
-        if diagnostics.wall_time is not None:
-            observe("qbd.r_matrix.seconds", diagnostics.wall_time)
-        return r, diagnostics
-
-    cache = active_cache()
-    if cache is None:
-        return compute()
-    key = (
-        a0.shape[0],
-        a0.tobytes(),
-        a1.tobytes(),
-        a2.tobytes(),
-        float(tol),
-        int(max_iter),
-    )
-    (r, diagnostics), status = cache.get_or_compute_with_status(
-        "r-matrix", key, compute
-    )
-    if status != "computed":
-        diagnostics = replace(diagnostics, cache_hit=True)
+    with span("qbd.r_matrix", size=a1.shape[0], tol=tol, max_iter=max_iter) as sp:
+        r, diagnostics = _run_r_ladder(a0, a1, a2, tol, max_iter)
+        sp.set("method", diagnostics.method)
+        sp.set("residual", diagnostics.residual)
+        sp.set("iterations", diagnostics.iterations)
+        sp.set("spectral_radius", diagnostics.spectral_radius)
+        sp.set("rung_iterations", diagnostics.rung_iterations)
+    counter_inc("qbd.r_matrix.solves")
+    counter_inc(f"qbd.r_matrix.method.{diagnostics.method}")
+    if diagnostics.wall_time is not None:
+        observe("qbd.r_matrix.seconds", diagnostics.wall_time)
     return r, diagnostics
 
 
-def _compute_r_uncached(
+def _run_r_ladder(
     a0: np.ndarray,
     a1: np.ndarray,
     a2: np.ndarray,
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, SolverDiagnostics]:
-    """The ladder itself (uncached, untraced core of the R-matrix solve)."""
+    """The ladder itself (the untraced core of the R-matrix solve)."""
     scale = _block_scale(a0, a1, a2)
     start = time.perf_counter()
 
@@ -842,44 +823,11 @@ class QbdProcess:
 
         Every failure path raises a typed :class:`~repro.robustness.ReproError`
         subclass; the returned solution carries :class:`SolverDiagnostics`.
-
-        Inside an active :func:`repro.perf.sweep_cache` scope the full
-        solution is memoized on the exact bytes of every block; a hit
-        returns a shallow copy whose diagnostics carry ``cache_hit=True``.
+        Memoization lives one level up, in :func:`cached_solution`, keyed on
+        the analysis inputs that define the process.
         """
-        cache = active_cache()
-        if cache is None:
-            return self._solve_uncached()
-        key = self._solution_key()
-        solution, status = cache.get_or_compute_with_status(
-            "qbd-solution", key, self._solve_uncached
-        )
-        if status == "computed":
-            return solution
-        clone = copy.copy(solution)
-        clone.diagnostics = replace(solution.diagnostics, cache_hit=True)
-        return clone
-
-    def _solution_key(self) -> tuple:
-        """Exact-bytes cache key over every block defining this process."""
-        blocks = (
-            *self.boundary_local,
-            *self.boundary_up,
-            *self.boundary_down,
-            self.a0,
-            self.a1,
-            self.a2,
-        )
-        return (
-            self.b,
-            self.m,
-            tuple(block.shape for block in blocks),
-            b"".join(block.tobytes() for block in blocks),
-        )
-
-    def _solve_uncached(self) -> QbdSolution:
         with span("qbd.solve", boundary_levels=self.b, phases=self.m) as sp:
-            solution = self._solve_uncached_inner()
+            solution = self._solve_inner()
             diag = solution.diagnostics
             if diag is not None:
                 sp.set("method", diag.method)
@@ -890,7 +838,7 @@ class QbdProcess:
             observe("qbd.solve.seconds", diag.wall_time)
         return solution
 
-    def _solve_uncached_inner(self) -> QbdSolution:
+    def _solve_inner(self) -> QbdSolution:
         start = time.perf_counter()
         b, m = self.b, self.m
         a1_full = self._with_diagonal(self.a1, self.a0.sum(axis=1) + self.a2.sum(axis=1))
@@ -1115,9 +1063,11 @@ class QbdProcess:
 def cached_solution(key: tuple, compute) -> QbdSolution:
     """Memoize a full :class:`QbdSolution` under the active sweep scope.
 
-    The analysis layers (CS-CQ, CS-ID) use this to skip not just the solve
-    but the whole chain *assembly* when they can key the solution on their
-    own defining inputs (rates plus the exact phase-type representations).
+    This is the one memo of a QBD solution.  The analysis layers (CS-CQ,
+    CS-ID) key it on their own defining inputs (rates plus the exact
+    phase-type representations), so a hit skips the chain *assembly* as
+    well as the solve; the sweep prefetch (:mod:`repro.perf.batched`)
+    seeds it under the same keys.
     A hit returns a shallow copy whose diagnostics carry ``cache_hit=True``;
     outside a scope this is exactly ``compute()``.
     """

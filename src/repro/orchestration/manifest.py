@@ -23,9 +23,10 @@ from ..robustness.atomic_write import atomic_write_json
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .runner import PointOutcome
 
-__all__ = ["RunManifest"]
+__all__ = ["RunManifest", "STATUSES"]
 
-_STATUSES = ("ok", "degraded", "suspect", "failed", "timeout")
+#: Every status a sweep point can end in.
+STATUSES = ("ok", "degraded", "suspect", "failed", "timeout")
 
 
 def _diagnostics_summary(diagnostics: "dict | None") -> "dict | None":
@@ -92,7 +93,7 @@ class RunManifest:
 
     def as_dict(self) -> dict:
         """The full manifest document."""
-        counts = {status: 0 for status in _STATUSES}
+        counts = {status: 0 for status in STATUSES}
         resumed = 0
         for point in self.points:
             counts[point["status"]] = counts.get(point["status"], 0) + 1

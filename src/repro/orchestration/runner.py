@@ -84,12 +84,10 @@ from ..telemetry import (
 from . import faults
 from .checkpoint import CheckpointJournal
 from .deadline import DeadlineBudget
-from .manifest import RunManifest
+from .manifest import STATUSES, RunManifest
 from .spec import SweepPoint, resolve_task
 
 __all__ = ["PointOutcome", "SweepRunner"]
-
-STATUSES = ("ok", "degraded", "suspect", "failed", "timeout")
 
 
 @dataclass(frozen=True)
@@ -470,7 +468,7 @@ class SweepRunner:
         parts = [f"{counts.get('total', 0)} points"]
         parts += [
             f"{counts[k]} {k}"
-            for k in ("ok", "degraded", "suspect", "failed", "timeout", "resumed")
+            for k in (*STATUSES, "resumed")
             if counts.get(k)
         ]
         return f"[sweep {self.run_name}] " + ", ".join(parts)

@@ -7,14 +7,14 @@ analyses' own QBD blocks into ``(N, m, m)`` tensors by shape, and runs the
 logarithmic-reduction iteration, the R-matrix recovery, the boundary
 solves and the trust assessment as batched ``numpy.linalg`` calls over
 the leading axis (:func:`repro.markov.qbd.solve_r_matrix_batched`).  Each
-accepted solution is seeded into the active sweep cache under the keys
-the solver looks up (``qbd-solution`` and ``r-matrix``).  The per-point
-loop then runs unchanged: each analysis still calls
-:meth:`QbdProcess.solve <repro.markov.qbd.QbdProcess.solve>`, which finds
-the seeded solution, and every value, NaN, warning, contract check and
-diagnostic comes from that loop.  The ``analysis-solution`` entry is left
-for the per-point loop to fill, so a fault injected at
-``QbdProcess.solve`` still reaches every point.
+accepted solution is seeded into the active sweep cache under the
+``analysis-solution`` key the analysis itself looks up, so the per-point
+loop finds it in memory and neither assembles nor solves that chain.
+Every value, NaN, warning, contract check and diagnostic still comes from
+the per-point loop.  A fault injected at :meth:`QbdProcess.solve
+<repro.markov.qbd.QbdProcess.solve>` therefore reaches only the chains the
+prefetch left unseeded; to break every exact solve, break
+:func:`solve_r_matrix_batched` here as well.
 
 Correctness model
 -----------------
@@ -36,12 +36,11 @@ Correctness model
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from ..markov.qbd import QbdSolution, solve_r_matrix_batched
+from ..markov.qbd import R_MAX_ITER, R_TOL, QbdSolution, solve_r_matrix_batched
 from ..robustness import RungAttempt, SolverDiagnostics
 from ..robustness.guards import CONDITION_WARN
 from ..robustness.trust import compose_bound, condest_1, trust_verdicts
@@ -49,12 +48,6 @@ from ..telemetry import counter_inc, span
 from .cache import active_cache
 
 __all__ = ["prefetch_sweep_solutions"]
-
-#: Defaults of the scalar R-matrix ladder entry point — part of the
-#: ``r-matrix`` cache key, so they must match
-#: :func:`repro.markov.qbd.solve_r_matrix_with_diagnostics` exactly.
-_R_TOL = 1e-13
-_R_MAX_ITER = 200
 
 
 def prefetch_sweep_solutions(
@@ -83,9 +76,8 @@ def prefetch_sweep_solutions(
             for cls in classes:
                 try:
                     analysis = cls(case.params(rho_s, rho_l))
-                    if cache.preload(
-                        "analysis-solution", analysis._solution_cache_key()
-                    ):
+                    key = analysis._solution_cache_key()
+                    if key in pending or cache.preload("analysis-solution", key):
                         continue
                     process = analysis._build_qbd()
                 except Exception:  # noqa: BLE001
@@ -93,12 +85,14 @@ def prefetch_sweep_solutions(
                     # owns the error: NaN plus warning, a failed point
                     # status, or the crash an in-process sweep would see.
                     continue
-                key = process._solution_key()
-                if key in pending:
-                    continue
                 pending.add(key)
-                # (b, m, block shapes): the stackable identity of a chain.
-                stacks.setdefault(key[:3], []).append((key, process))
+                # (b, m, boundary shapes): the stackable identity of a chain.
+                shape = (
+                    process.b,
+                    process.m,
+                    tuple(block.shape for block in process.boundary_local),
+                )
+                stacks.setdefault(shape, []).append((key, process))
         seeded = 0
         for items in stacks.values():
             try:
@@ -130,8 +124,8 @@ def _with_diagonal_batched(local: np.ndarray, out_rates: np.ndarray) -> np.ndarr
 def _solve_stack(items: list, cache) -> int:
     """Solve one shape-homogeneous stack and seed its accepted points.
 
-    ``items`` holds ``(qbd-solution key, QbdProcess)`` pairs; returns how
-    many solutions were seeded.
+    ``items`` holds ``(analysis-solution key, QbdProcess)`` pairs; returns
+    how many solutions were seeded.
     """
     t0 = time.perf_counter()
     processes = [process for _, process in items]
@@ -146,7 +140,7 @@ def _solve_stack(items: list, cache) -> int:
     }
     a1_full = _with_diagonal_batched(a1, a0.sum(axis=2) + a2.sum(axis=2))
     r, residual, iterations, accepted = solve_r_matrix_batched(
-        a0, a1_full, a2, tol=_R_TOL, max_iter=_R_MAX_ITER
+        a0, a1_full, a2, tol=R_TOL, max_iter=R_MAX_ITER
     )
     acc = np.flatnonzero(accepted)
     if not acc.size:
@@ -201,21 +195,11 @@ def _solve_stack(items: list, cache) -> int:
     wall_share = (time.perf_counter() - t0) / acc.size
     for j in np.flatnonzero(good):
         gi = int(acc[j])
-        key = items[gi][0]
-        r_i = np.ascontiguousarray(r[gi])
         attempt = RungAttempt(
             "logarithmic-reduction",
             accepted=True,
             residual=float(residual[gi]),
             iterations=int(iterations[gi]),
-        )
-        r_diag = SolverDiagnostics(
-            method="logarithmic-reduction",
-            rungs=(attempt,),
-            residual=float(residual[gi]),
-            spectral_radius=float(sp_r[j]),
-            iterations=int(iterations[gi]),
-            wall_time=wall_share,
         )
         solution = QbdSolution.from_batched(
             [
@@ -223,14 +207,19 @@ def _solve_stack(items: list, cache) -> int:
                 for i in range(b)
             ],
             np.ascontiguousarray(pi[j, offsets[b] :]),
-            r_i,
+            np.ascontiguousarray(r[gi]),
             b,
             tail_spectral_radius=float(sp_r[j]),
             condition_i_minus_r=float(cond[j]),
             i_minus_r_inv=np.ascontiguousarray(inv[j]),
             identity=eye_m,
-            diagnostics=replace(
-                r_diag,
+            diagnostics=SolverDiagnostics(
+                method="logarithmic-reduction",
+                rungs=(attempt,),
+                residual=float(residual[gi]),
+                spectral_radius=float(sp_r[j]),
+                iterations=int(iterations[gi]),
+                wall_time=wall_share,
                 condition_i_minus_r=float(cond[j]),
                 boundary_residual=float(resid_b[j]),
                 condition_estimate=float(cond_est[j]),
@@ -238,18 +227,7 @@ def _solve_stack(items: list, cache) -> int:
                 trust="trusted",
             ),
         )
-        # The keys solve_r_matrix_with_diagnostics and QbdProcess.solve
-        # look up, byte for byte.
-        r_key = (
-            m,
-            a0[gi].tobytes(),
-            a1_full[gi].tobytes(),
-            a2[gi].tobytes(),
-            float(_R_TOL),
-            int(_R_MAX_ITER),
-        )
-        cache.seed("r-matrix", r_key, (r_i, r_diag))
-        cache.seed("qbd-solution", key, solution)
+        cache.seed("analysis-solution", items[gi][0], solution)
     return int(good.sum())
 
 

@@ -20,7 +20,7 @@ import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 from .cache import SweepCache, sweep_cache
 
@@ -159,7 +159,7 @@ def calibration_time(repeat: int = 5) -> float:
 
 def _solver_summary(cache: SweepCache) -> "dict | None":
     """Ladder-tier breakdown of every QBD solved during the run."""
-    solutions = cache.values("qbd-solution")
+    solutions = cache.values("analysis-solution")
     if not solutions:
         return None
     methods: "dict[str, int]" = {}

@@ -39,15 +39,12 @@ Namespaces in use:
     Busy-period moment triples (:mod:`repro.busy_periods`).
 ``ph-fit``
     Three-moment phase-type fits (:func:`repro.distributions.fit_phase_type`).
-``r-matrix``
-    R-matrix fallback-ladder solves (:func:`repro.markov.qbd.solve_r_matrix_with_diagnostics`).
-``qbd-solution``
-    Full stationary solutions (:meth:`repro.markov.qbd.QbdProcess.solve`),
-    keyed on the exact block bytes.
 ``analysis-solution``
-    The same solutions keyed on the *analysis-level* inputs (rates + PH
-    representations, via :func:`repro.markov.qbd.cached_solution`), so a
-    hit skips the chain assembly as well as the solve.
+    Full QBD stationary solutions, the one memo of a solve, keyed on the
+    *analysis-level* inputs (rates + PH representations, via
+    :func:`repro.markov.qbd.cached_solution`), so a hit skips the chain
+    assembly as well as the solve.  The sweep prefetch
+    (:mod:`repro.perf.batched`) seeds it.
 ``service-answer``
     Validated query-service answers (:mod:`repro.service.fidelity`); with
     a store attached the replay rung survives restarts.

@@ -2,10 +2,10 @@
 
 The on-disk result store (:mod:`repro.perf.store`) must round-trip every
 value the sweep cache holds — busy-period moment tuples, phase-type
-distributions, ``(R, diagnostics)`` pairs, full :class:`QbdSolution`
-objects, service answers — **bit-identically**, across processes and
-Python sessions, without ``pickle`` (whose byte stream is neither stable
-across versions nor safe to interpret after on-disk corruption).
+distributions, full :class:`QbdSolution` objects, service answers —
+**bit-identically**, across processes and Python sessions, without
+``pickle`` (whose byte stream is neither stable across versions nor safe
+to interpret after on-disk corruption).
 
 Format
 ------

@@ -1,11 +1,11 @@
 """Crash-safe persistent result store: the sweep cache's on-disk tier.
 
 :class:`ResultStore` persists the memo-cache namespaces (``busy-moments``,
-``ph-fit``, ``r-matrix``, ``qbd-solution``, ``analysis-solution`` and the
-service's ``service-answer`` replay entries) across processes, so a
-repeated ``figure`` / ``bench`` / ``check`` / ``serve`` run recomputes
-nothing.  A store that survives processes is above all a *durability*
-problem, and every design choice here is about failing safe:
+``ph-fit``, ``analysis-solution`` and the service's ``service-answer``
+replay entries) across processes, so a repeated ``figure`` / ``bench`` /
+``check`` / ``serve`` run recomputes nothing.  A store that survives
+processes is above all a *durability* problem, and every design choice
+here is about failing safe:
 
 * **Content-addressed layout.**  ``<root>/<namespace>/<dd>/<digest>.entry``
   where ``digest`` is the sha256 of the encoded cache key plus the solver
@@ -80,8 +80,6 @@ PERSISTED_NAMESPACES = frozenset(
     {
         "busy-moments",
         "ph-fit",
-        "r-matrix",
-        "qbd-solution",
         "analysis-solution",
         "service-answer",
     }
@@ -91,7 +89,7 @@ PERSISTED_NAMESPACES = frozenset(
 #: before being trusted (a checksum proves the bytes are what was
 #: written, not that what was written is still a valid solution under
 #: today's contracts).
-_CONTRACT_CHECKED = ("qbd-solution", "analysis-solution")
+_CONTRACT_CHECKED = ("analysis-solution",)
 
 #: Minimum seconds between atime bumps of one entry: the bump is a full
 #: atomic rewrite (the header is not updatable in place without losing
@@ -120,27 +118,15 @@ def _trust_record(value: Any) -> "Optional[dict]":
     """Numerical-trust summary of a value about to be persisted, or None.
 
     Looks for the :class:`~repro.robustness.SolverDiagnostics` a value
-    carries — directly (``r-matrix`` entries are ``(R, diagnostics)``
-    pairs), via a ``diagnostics`` attribute (``qbd-solution`` /
-    ``analysis-solution`` hold :class:`~repro.markov.qbd.QbdSolution`) —
-    and lifts its verdict into the entry header, so ``fsck --trust`` can
-    audit a store without decoding every payload.
+    carries on its ``diagnostics`` attribute (``analysis-solution`` holds
+    :class:`~repro.markov.qbd.QbdSolution`) and lifts its verdict into
+    the entry header, so ``fsck --trust`` can audit a store without
+    decoding every payload.
     """
     from ..robustness import SolverDiagnostics
 
-    diag = None
-    if isinstance(value, SolverDiagnostics):
-        diag = value
-    elif isinstance(value, tuple):
-        for item in value:
-            if isinstance(item, SolverDiagnostics):
-                diag = item
-                break
-    else:
-        candidate = getattr(value, "diagnostics", None)
-        if isinstance(candidate, SolverDiagnostics):
-            diag = candidate
-    if diag is None or diag.trust is None:
+    diag = getattr(value, "diagnostics", None)
+    if not isinstance(diag, SolverDiagnostics) or diag.trust is None:
         return None
     return {
         "trust": diag.trust,
@@ -335,8 +321,7 @@ class ResultStore:
 
         if not contracts_enabled():
             return
-        # qbd-solution / analysis-solution namespaces hold QbdSolution
-        # objects directly.
+        # analysis-solution holds QbdSolution objects directly.
         for result in evaluate("solution", value):
             if not result.passed:
                 raise StoreCorruptionError(

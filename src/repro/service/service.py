@@ -48,7 +48,6 @@ from ..robustness import (
     BackoffPolicy,
     CircuitBreaker,
     CircuitOpenError,
-    ContractViolation,
     DeadlineExceededError,
     ReproError,
     ServiceOverloadError,

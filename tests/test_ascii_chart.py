@@ -1,7 +1,6 @@
 """Tests for the ASCII chart renderer."""
 
 import numpy as np
-import pytest
 
 from repro.experiments import Panel, Series, format_panel
 from repro.experiments.base import render_ascii_chart

@@ -18,12 +18,14 @@ import pytest
 import repro.contracts
 import repro.experiments.figures as figures_mod
 import repro.perf.batched as batched_mod
+from repro.core import CsCqAnalysis, CsIdAnalysis
 from repro.experiments import figure4_panels
 from repro.experiments.figures import (
     _POLICY_LABELS,
     _policy_point_values,
     _sweep_policy_values,
 )
+from repro.markov import QbdProcess
 from repro.orchestration import SweepRunner
 from repro.perf import sweep_cache
 from repro.perf.store import PERSISTED_NAMESPACES, ResultStore
@@ -192,8 +194,10 @@ class TestStoreDigestParity:
         assert reference_entries.keys() == prefetched_entries.keys()
         for namespace, entries in reference_entries.items():
             assert entries == prefetched_entries[namespace], namespace
-        assert "qbd-solution" in reference_entries
-        assert "r-matrix" in reference_entries
+        # One memo per solution: the dropped block-keyed namespaces stay empty.
+        assert "analysis-solution" in reference_entries
+        assert "qbd-solution" not in reference_entries
+        assert "r-matrix" not in reference_entries
 
 
 def _qbd_solves() -> float:
@@ -259,6 +263,43 @@ class TestFigurePool:
         assert _qbd_solves() == solves_after_first
 
 
+class TestSeededChainsSkipAssembly:
+    @pytest.mark.parametrize("job_class", ["short", "long"])
+    def test_figure4_row_builds_and_solves_nothing_per_point(
+        self, job_class, monkeypatch
+    ):
+        # The prefetch seeds the analysis-level memo, so every per-point
+        # lookup hits memory: no chain is assembled or solved twice.
+        case = EXPONENTIAL_CASES[0]
+        pairs = [(rho_s, 0.5) for rho_s in _RHO_S_GRID]
+        calls = []
+
+        def counting(name, real):
+            def wrapper(self, *args, **kwargs):
+                calls.append(name)
+                return real(self, *args, **kwargs)
+
+            return wrapper
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with sweep_cache() as cache:
+                batched_mod.prefetch_sweep_solutions(case, pairs, job_class)
+                with monkeypatch.context() as patch:
+                    for cls in (CsCqAnalysis, CsIdAnalysis):
+                        patch.setattr(
+                            cls, "_build_qbd", counting("build", cls._build_qbd)
+                        )
+                    patch.setattr(
+                        QbdProcess, "solve", counting("solve", QbdProcess.solve)
+                    )
+                    for rho_s, rho_l in pairs:
+                        _policy_point_values(case.params(rho_s, rho_l), job_class)
+        assert cache.misses["analysis-solution"] == 0
+        assert cache.hits["analysis-solution"] > 0
+        assert calls == []
+
+
 class TestWarmStorePrefetch:
     def test_warm_store_rerun_solves_nothing(self, tmp_path):
         # A fresh scope on a store a cold sweep filled: the prefetch must
@@ -302,7 +343,7 @@ class TestRejectedStacks:
                     reference = _sweep_policy_values(self.case, self.pairs, "short")
             with sweep_cache() as cache:
                 batched_mod.prefetch_sweep_solutions(self.case, self.pairs, "short")
-                assert not cache.values("qbd-solution")
+                assert not cache.values("analysis-solution")
                 values = _sweep_policy_values(self.case, self.pairs, "short")
         for label in _POLICY_LABELS:
             np.testing.assert_array_equal(values[label], reference[label])

@@ -1,7 +1,5 @@
 """Tests for Theorem 1's stability regions (and Figure 3's shape)."""
 
-import math
-
 import pytest
 
 from repro.core import (

@@ -1,7 +1,5 @@
 """Tests for Exponential and Erlang distributions."""
 
-import math
-
 import numpy as np
 import pytest
 

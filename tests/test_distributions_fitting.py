@@ -1,7 +1,5 @@
 """Tests for three-moment phase-type fitting (the paper's key approximation)."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

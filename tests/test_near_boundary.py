@@ -21,6 +21,7 @@ from repro.core import CsCqAnalysis, CsIdAnalysis, DedicatedAnalysis, SystemPara
 from repro.experiments import figure6_panels
 from repro.workloads import EXPONENTIAL_CASES
 from repro.markov import qbd
+from repro.perf import batched
 from repro.robustness import (
     ConvergenceError,
     NearBoundaryWarning,
@@ -244,11 +245,17 @@ class TestFigureSweepCompletes:
     def test_figure6_sweep_with_forced_failures(self, monkeypatch):
         # Even when the exact QBD solve is broken outright, the sweep
         # completes: near-boundary points degrade to the truncated solver,
-        # interior points surface as NaN via the warning path.
+        # interior points surface as NaN via the warning path.  The exact
+        # solve has two entry points, the per-point one and the sweep
+        # prefetch's stacked one; break both.
         def boom(self):
             raise ConvergenceError("forced failure for testing", residual=1.0)
 
+        def broken_stack(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced failure for testing")
+
         monkeypatch.setattr(qbd.QbdProcess, "solve", boom)
+        monkeypatch.setattr(batched, "solve_r_matrix_batched", broken_stack)
         rho_s = 1.5
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NearBoundaryWarning)

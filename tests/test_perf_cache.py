@@ -13,6 +13,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from repro.core import CsCqAnalysis, SystemParameters
 from repro.experiments import figures
 from repro.markov import QbdProcess
 from repro.perf import SweepCache, active_cache, cached, sweep_cache
@@ -92,11 +93,12 @@ class TestDiagnosticsObservability:
         return a0, a1, a2
 
     def test_qbd_hit_flags_diagnostics(self):
-        a0, a1, a2 = self._blocks()
+        # The solution memo sits at the analysis level: a second analysis
+        # of the same inputs in the same scope is served from it.
+        params = SystemParameters.from_loads(rho_s=1.0, rho_l=0.5)
         with sweep_cache():
-            qbd = QbdProcess([], [], [], a0, a1, a2)
-            miss = qbd.solve()
-            hit = QbdProcess([], [], [], a0, a1, a2).solve()
+            miss = CsCqAnalysis(params).solution
+            hit = CsCqAnalysis(params).solution
         assert miss.diagnostics.cache_hit is False
         assert hit.diagnostics.cache_hit is True
         assert "cache hit" in hit.diagnostics.summary()

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.perf import SweepCache
-from repro.robustness import ContractViolation, UnstableSystemError
+from repro.robustness import ContractViolation
 from repro.service import FIDELITY_LEVELS, POLICIES, ScenarioQuery, ServiceAnswer
 from repro.service import fidelity as F
 

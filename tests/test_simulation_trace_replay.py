@@ -1,6 +1,5 @@
 """Tests for trace-driven simulation (replay mode)."""
 
-import numpy as np
 import pytest
 
 from repro.simulation import JobClass, simulate_trace
@@ -66,9 +65,6 @@ class TestReplaySynthetic:
     def test_replay_matches_poisson_statistics(self, rng):
         """Replaying a Poisson-generated trace through the same policy
         should agree with the params-driven simulation in distribution."""
-        from repro.core import SystemParameters
-        from repro.simulation import simulate
-
         spec = TraceSpec(
             arrival_rate=1.5, pareto_alpha=2.5, min_size=0.1, max_size=5.0, cutoff=1.0
         )
