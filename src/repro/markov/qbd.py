@@ -18,6 +18,13 @@ rung's attempt recorded on the :class:`SolverDiagnostics` attached to the
 returned :class:`QbdSolution`.  All failure paths raise typed
 :class:`~repro.robustness.ReproError` subclasses carrying residuals,
 iteration counts, condition numbers and spectral radii.
+
+Rung 1 (the logarithmic-reduction iteration, the R recovery), the
+boundary solve and the trust assessment are written once, over
+``(N, m, m)`` stacks: :meth:`QbdProcess.solve` runs them on a stack of
+one, and the sweep prefetch (:mod:`repro.perf.batched`) on a stack of a
+whole sweep row.  Only the fallback rungs (successive substitution, the
+tightened rung, the Newton/refined escalation) are single-chain code.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import copy
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -57,6 +64,7 @@ from ..robustness import (
     run_fallback_ladder,
     spectral_radius,
     trust_verdict,
+    trust_verdicts,
 )
 
 __all__ = [
@@ -77,31 +85,58 @@ def _as_matrix(m, name: str) -> np.ndarray:
 
 def _quadratic_residual(
     r: np.ndarray, a0: np.ndarray, a1: np.ndarray, a2: np.ndarray
-) -> float:
-    """Max-abs residual of R's defining quadratic ``A0 + R A1 + R^2 A2 = 0``."""
-    return float(np.abs(a0 + r @ a1 + r @ r @ a2).max())
+) -> "float | np.ndarray":
+    """Max-abs residual of R's defining quadratic ``A0 + R A1 + R^2 A2 = 0``
+    (per slice over ``(N, m, m)`` stacks)."""
+    return np.abs(a0 + r @ a1 + r @ r @ a2).max(axis=(-2, -1))
 
 
-def _block_scale(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> float:
-    return max(np.abs(a0).max(), np.abs(a1).max(), np.abs(a2).max(), 1.0)
+def _block_scale(
+    a0: np.ndarray, a1: np.ndarray, a2: np.ndarray
+) -> "float | np.ndarray":
+    """``max(|A0|, |A1|, |A2|, 1)`` (per slice over ``(N, m, m)`` stacks)."""
+    scale = 1.0
+    for block in (a0, a1, a2):
+        scale = np.maximum(scale, np.abs(block).max(axis=(-2, -1)))
+    return scale
+
+
+def _with_diagonal(local: np.ndarray, *leaving: np.ndarray) -> np.ndarray:
+    """``(N, m, m)`` local blocks with their proper negative diagonals.
+
+    Each diagonal entry balances its row's off-diagonal rates plus the
+    row's total rate out through the ``leaving`` blocks (the level's up
+    and down blocks), so the full generator has zero row sums.  The
+    diagonal ``local`` arrives with is ignored.
+    """
+    out_rates = leaving[0].sum(axis=2)
+    for out in leaving[1:]:
+        out_rates = out_rates + out.sum(axis=2)
+    block = local.copy()
+    m = block.shape[-1]
+    diagonal = block.reshape(-1, m * m)[:, :: m + 1]  # a view of each diagonal
+    diagonal[...] = 0.0
+    diagonal[...] = -(block.sum(axis=2) + out_rates)
+    return block
 
 
 def _assess_trust(
     square: np.ndarray,
-    boundary_residual: float,
-    boundary_scale: float,
+    boundary_residual: np.ndarray,
+    boundary_scale: np.ndarray,
     r: np.ndarray,
-    r_residual: float,
-    r_scale: float,
-) -> tuple[float, float, str]:
-    """``(condition_estimate, error_bound, verdict)`` for one solve.
+    r_residual: "float | np.ndarray",
+    r_scale: "float | np.ndarray",
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """``(condition_estimate, error_bound, verdicts)`` over a stack of solves.
 
-    The sweep prefetch (:mod:`repro.perf.batched`) composes the identical
-    quantities from stacked ``condest_1`` calls, so a point evaluated
-    either way carries the bit-identical verdict.
+    ``square`` and ``r`` are ``(N, n, n)`` and ``(N, m, m)`` stacks, the
+    residuals and scales ``(N,)`` arrays or scalars; a single solve is a
+    stack of one, so every point carries the same verdict whichever path
+    solved it.
     """
     cond_boundary = condest_1(square)
-    cond_i_minus_r = condest_1(np.eye(r.shape[0]) - r)
+    cond_i_minus_r = condest_1(np.eye(r.shape[-1]) - r)
     bound = compose_bound(
         cond_boundary,
         boundary_residual,
@@ -110,7 +145,7 @@ def _assess_trust(
         r_residual,
         r_scale,
     )
-    return max(cond_boundary, cond_i_minus_r), bound, trust_verdict(bound)
+    return np.maximum(cond_boundary, cond_i_minus_r), bound, trust_verdicts(bound)
 
 
 #: Iteration-budget multiplier for the successive-substitution rung.
@@ -121,11 +156,15 @@ def _assess_trust(
 #: ``max_iter=200`` this reproduces the historical 500000-iteration limit.
 _SUBSTITUTION_ITER_FACTOR = 2500
 
-#: Default tolerance and iteration budget of the R-matrix ladder.  The
-#: sweep prefetch (:mod:`repro.perf.batched`) runs its stacked rung 1 with
-#: the same two values, so a seeded R is bit-identical to the scalar one.
+#: Default tolerance and iteration budget of the R-matrix solve, shared by
+#: the ladder and the stacked functions.
 R_TOL = 1e-13
 R_MAX_ITER = 200
+
+#: Quadratic residual (relative to the block scale) at which the
+#: logarithmic-reduction rung accepts its R; the sweep prefetch seeds only
+#: slices that pass the same test.
+_LOG_REDUCTION_MAX_RESIDUAL = 1e-8
 
 
 def solve_r_matrix(
@@ -172,6 +211,9 @@ def solve_r_matrix_with_diagnostics(
        ``4 * max_iter`` iterations, for chains where the default
        uniformization is numerically unlucky.
 
+    Both logarithmic-reduction rungs run the kernels of
+    :func:`solve_r_matrix_batched` on a stack of one.
+
     Raises
     ------
     ConvergenceError
@@ -204,18 +246,16 @@ def _run_r_ladder(
     max_iter: int,
 ) -> tuple[np.ndarray, SolverDiagnostics]:
     """The ladder itself (the untraced core of the R-matrix solve)."""
-    scale = _block_scale(a0, a1, a2)
+    scale = float(_block_scale(a0, a1, a2))
     start = time.perf_counter()
+    stack = (a0[None], a1[None], a2[None])
 
     def via_log_reduction(g_tol: float, g_max_iter: int, theta_factor: float):
         def run():
-            g, iterations = _solve_g_log_reduction(
-                a0, a1, a2, tol=g_tol, max_iter=g_max_iter, theta_factor=theta_factor
-            )
-            # R = A0 * (-(A1 + A0 G))^{-1}  (continuous-time identity).
-            u = a1 + a0 @ g
-            r = a0 @ np.linalg.inv(-u)
-            return r, _quadratic_residual(r, a0, a1, a2), iterations
+            reduction = _log_reduction(*stack, g_tol, g_max_iter, theta_factor)
+            iterations = _single_outcome(reduction, g_tol, g_max_iter)
+            r, residual = _recover_r(*stack, reduction.g)
+            return r[0], float(residual[0]), iterations
 
         return run
 
@@ -223,13 +263,13 @@ def _run_r_ladder(
         r, iterations = _solve_r_substitution(
             a0, a1, a2, tol=tol, max_iter=max_iter * _SUBSTITUTION_ITER_FACTOR
         )
-        return r, _quadratic_residual(r, a0, a1, a2), iterations
+        return r, float(_quadratic_residual(r, a0, a1, a2)), iterations
 
     rungs = [
         Rung(
             "logarithmic-reduction",
             via_log_reduction(tol, max_iter, theta_factor=1.0),
-            max_residual=1e-8 * scale,
+            max_residual=_LOG_REDUCTION_MAX_RESIDUAL * scale,
         ),
         Rung("successive-substitution", via_substitution, max_residual=1e-7 * scale),
         Rung(
@@ -277,7 +317,7 @@ def _solve_r_substitution(
         set_span_attribute("convergence", trace.as_dict())
     raise ConvergenceError(
         f"successive substitution did not converge in {max_iter} iterations",
-        residual=_quadratic_residual(r, a0, a1, a2),
+        residual=float(_quadratic_residual(r, a0, a1, a2)),
         step_size=delta,
         iterations=max_iter,
     )
@@ -307,90 +347,156 @@ def solve_g_matrix(
     a0: np.ndarray,
     a1: np.ndarray,
     a2: np.ndarray,
-    tol: float = 1e-13,
-    max_iter: int = 200,
+    tol: float = R_TOL,
+    max_iter: int = R_MAX_ITER,
 ) -> np.ndarray:
-    """Compute G (first-passage to the level below) by logarithmic reduction."""
-    g, _ = _solve_g_log_reduction(a0, a1, a2, tol=tol, max_iter=max_iter)
-    return g
+    """Compute G (first-passage to the level below) by logarithmic reduction.
+
+    Runs the stacked iteration on a stack of one; raises
+    :class:`ConvergenceError` when the iteration stagnates or exhausts
+    ``max_iter``.
+    """
+    stack = [np.asarray(block, dtype=float)[None] for block in (a0, a1, a2)]
+    reduction = _log_reduction(*stack, tol, max_iter)
+    _single_outcome(reduction, tol, max_iter)
+    return reduction.g[0]
 
 
-def _solve_g_log_reduction(
+class _LogReduction(NamedTuple):
+    """Per-slice outcome of :func:`_log_reduction` over an ``(N, m, m)`` stack."""
+
+    #: ``(N, m, m)``; zeros where the slice did not converge.
+    g: np.ndarray
+    #: ``(N,)`` iterations run until the slice converged or stagnated
+    #: (``max_iter`` when it exhausted the budget).
+    iterations: np.ndarray
+    #: ``(N,)`` bool: the step size fell below ``tol``.
+    converged: np.ndarray
+    #: ``(N,)`` bool: the step size plateaued above ``tol``.
+    stagnated: np.ndarray
+    #: ``(max_iter, N)`` step size after each iteration; NaN where a slice
+    #: had stopped iterating.
+    steps: np.ndarray
+
+
+def _log_reduction(
     a0: np.ndarray,
     a1: np.ndarray,
     a2: np.ndarray,
     tol: float,
     max_iter: int,
     theta_factor: float = 1.0,
-) -> tuple[np.ndarray, int]:
-    """Logarithmic reduction for G on the uniformized chain.
+) -> _LogReduction:
+    """Logarithmic reduction for G on the uniformized chain, over stacks.
+
+    The one implementation of the iteration: ``a0/a1/a2`` are ``(N, m, m)``
+    stacks (``a1`` carrying the negative diagonal), and a single chain runs
+    as a stack of one.  Slices never mix: batched ``matmul``/``solve``
+    dispatch the same per-slice LAPACK routine whatever the stack holds,
+    so a slice's iterates, step sizes and iteration count do not depend on
+    its neighbours.  A slice leaves the stack when it converges or
+    stagnates.
 
     ``theta_factor > 1`` re-uniformizes with a larger constant than the
     minimal one — mathematically equivalent, numerically a different
     iteration, which is what the tightened fallback rung exploits.
-    """
-    theta = np.abs(np.diag(a1)).max()
-    if theta <= 0.0:
-        raise NumericalError("A1 has a zero diagonal; not a valid generator block")
-    theta *= (1.0 + 1e-9) * theta_factor
-    n = a1.shape[0]
-    ident = np.eye(n)
-    # Uniformized (discrete) blocks.
-    d0 = a0 / theta
-    d1 = ident + a1 / theta
-    d2 = a2 / theta
 
-    # One LAPACK solve with a stacked right-hand side per step (instead of
-    # an explicit inverse applied twice): fewer dispatches, better accuracy.
-    kernels = np.linalg.solve(ident - d1, np.concatenate([d0, d2], axis=1))
-    h = kernels[:, :n]  # "up" kernel
-    low = kernels[:, n:]  # "down" kernel
+    Raises :class:`NumericalError` for a block with a zero diagonal; a
+    singular stacked solve raises ``LinAlgError`` for the whole stack.
+    """
+    a0 = np.asarray(a0, dtype=float)
+    a1 = np.asarray(a1, dtype=float)
+    a2 = np.asarray(a2, dtype=float)
+    n_pts, m, _ = a1.shape
+    theta = np.abs(np.diagonal(a1, axis1=1, axis2=2)).max(axis=1)
+    if (theta <= 0.0).any():
+        raise NumericalError("A1 has a zero diagonal; not a valid generator block")
+    th = (theta * ((1.0 + 1e-9) * theta_factor))[:, None, None]
+    ident = np.eye(m)[None]
+    # Uniformized (discrete) blocks; one LAPACK solve with a stacked
+    # right-hand side yields both kernels.
+    d1 = ident + a1 / th
+    kernels = np.linalg.solve(ident - d1, np.concatenate([a0 / th, a2 / th], axis=2))
+    h = kernels[:, :, :m]  # "up" kernel
+    low = kernels[:, :, m:]  # "down" kernel
     g = low.copy()
     t = h.copy()
-    iterations = 0
-    best_step = float("inf")
-    stalled = 0
-    trace = IterationTrace() if tracing_enabled() else None
-    for iterations in range(1, max_iter + 1):
-        u = h @ low + low @ h
+    g_out = np.zeros_like(a1)
+    iterations = np.full(n_pts, max_iter, dtype=np.int64)
+    converged = np.zeros(n_pts, dtype=bool)
+    stagnated = np.zeros(n_pts, dtype=bool)
+    steps = np.full((max_iter, n_pts), np.nan)
+    # The rows still iterating: their slice, their step sizes, and a
+    # hair below the best step before their stagnation window.
+    idx = np.arange(n_pts)
+    history = steps.copy()
+    floor = np.full(n_pts, np.inf)
+    for iteration in range(1, max_iter + 1):
         sol = np.linalg.solve(
-            ident - u, np.concatenate([h @ h, low @ low], axis=1)
+            ident - (h @ low + low @ h), np.concatenate([h @ h, low @ low], axis=2)
         )
-        h2 = sol[:, :n]
-        low2 = sol[:, n:]
-        g = g + t @ low2
-        t = t @ h2
-        h, low = h2, low2
-        step = float(np.abs(t).max())
-        if trace is not None:
+        h = sol[:, :, :m]
+        low = sol[:, :, m:]
+        g = g + t @ low
+        t = t @ h
+        step = np.abs(t).max(axis=(1, 2))
+        history[iteration - 1] = step
+        stop = done = step < tol
+        if iteration >= _STAGNATION_WINDOW:
+            # Stagnation: a converging slice sets a new step-size minimum
+            # (by a relative 1e-6) every iteration; a plateau means the
+            # remaining mass will never drain below ``tol``, so fail fast
+            # to the next rung instead of burning the rest of the budget.
+            # A slice stagnates when no step of the last window undercuts
+            # the best step before it.
+            start = iteration - _STAGNATION_WINDOW
+            if start:
+                row = history[start - 1]
+                floor = np.where(row < floor, row * (1.0 - 1e-6), floor)
+            stop = done | ~(history[start:iteration] < floor).any(axis=0)
+        if not np.count_nonzero(stop):
+            continue
+        # Snapshot converged slices at the convergence event, then drop
+        # every resolved slice from the stack.
+        g_out[idx[done]] = g[done]
+        converged[idx[done]] = True
+        stagnated[idx[stop & ~done]] = True
+        iterations[idx[stop]] = iteration
+        keep = ~stop
+        if not np.count_nonzero(keep):
+            break
+        steps[:, idx[stop]] = history[:, stop]
+        idx, h, low, g, t = idx[keep], h[keep], low[keep], g[keep], t[keep]
+        history, floor = history[:, keep], floor[keep]
+    steps[:, idx] = history
+    return _LogReduction(g_out, iterations, converged, stagnated, steps)
+
+
+def _single_outcome(reduction: _LogReduction, tol: float, max_iter: int) -> int:
+    """Iteration count of a one-slice reduction, or its typed error.
+
+    Under tracing, the slice's per-iteration step sizes land on the current
+    span as its ``convergence`` attribute.
+    """
+    iterations = int(reduction.iterations[0])
+    if tracing_enabled():
+        trace = IterationTrace()
+        for step in reduction.steps[:iterations, 0]:
             trace.record(step)
-        if step < tol:
-            if trace is not None:
-                set_span_attribute("convergence", trace.as_dict())
-            return g, iterations
-        # Stagnation detection: a converging iterate sets a new step-size
-        # minimum every iteration; a plateau means the remaining mass will
-        # never drain below ``tol``, so fail fast to the next rung instead
-        # of burning the rest of the budget.
-        if step < best_step * (1.0 - 1e-6):
-            best_step = step
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= _STAGNATION_WINDOW:
-                if trace is not None:
-                    set_span_attribute("convergence", trace.as_dict())
-                raise ConvergenceError(
-                    f"logarithmic reduction stagnated after {iterations} "
-                    f"iterations (step plateaued at {step:.3g} >= tol {tol:.3g})",
-                    residual=step,
-                    iterations=iterations,
-                )
-    if trace is not None:
         set_span_attribute("convergence", trace.as_dict())
+    if reduction.converged[0]:
+        return iterations
+    step = float(reduction.steps[iterations - 1, 0])
+    if reduction.stagnated[0]:
+        raise ConvergenceError(
+            f"logarithmic reduction stagnated after {iterations} "
+            f"iterations (step plateaued at {step:.3g} >= tol {tol:.3g})",
+            residual=step,
+            iterations=iterations,
+        )
     raise ConvergenceError(
         f"logarithmic reduction did not converge in {max_iter} iterations",
-        residual=float(np.abs(t).max()),
+        residual=step,
         iterations=iterations,
     )
 
@@ -399,20 +505,14 @@ def solve_g_matrix_batched(
     a0: np.ndarray,
     a1: np.ndarray,
     a2: np.ndarray,
-    tol: float = 1e-13,
-    max_iter: int = 200,
+    tol: float = R_TOL,
+    max_iter: int = R_MAX_ITER,
     theta_factor: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Logarithmic reduction for G over a stack of QBD block triples.
 
     ``a0/a1/a2`` are ``(N, m, m)`` stacks (``a1`` carrying the negative
-    diagonal).  Every slice runs the *same* arithmetic as the scalar
-    :func:`_solve_g_log_reduction` — batched ``matmul``/``solve`` dispatch
-    the identical LAPACK routine per slice, so a converged slice's G is
-    bit-identical to the scalar result — but the Python-level loop runs
-    once per iteration instead of once per point.  Slices that converge
-    are frozen (masked out of the active set) while slow slices keep
-    iterating, so per-slice iteration counts match the scalar path's.
+    diagonal); see :func:`_log_reduction`.
 
     Returns
     -------
@@ -420,115 +520,36 @@ def solve_g_matrix_batched(
         ``g`` is ``(N, m, m)`` (zeros for non-converged slices),
         ``iterations`` the per-slice iteration counts, and ``converged``
         a boolean mask.  Slices that stagnate or exhaust ``max_iter``
-        simply come back non-converged — the caller falls back to the
-        scalar ladder for them instead of receiving an exception.
+        simply come back non-converged instead of raising.
     """
-    a0 = np.asarray(a0, dtype=float)
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    n_pts, m, _ = a1.shape
-    g_out = np.zeros_like(a1)
-    iterations = np.zeros(n_pts, dtype=np.int64)
-    converged = np.zeros(n_pts, dtype=bool)
+    reduction = _log_reduction(a0, a1, a2, tol, max_iter, theta_factor)
+    return reduction.g, reduction.iterations, reduction.converged
 
-    theta = np.abs(np.diagonal(a1, axis1=1, axis2=2)).max(axis=1)
-    valid = theta > 0.0  # a zero diagonal is not a valid generator block
-    theta = np.where(valid, theta, 1.0) * ((1.0 + 1e-9) * theta_factor)
 
-    ident = np.eye(m)
-    th = theta[:, None, None]
-    d0 = a0 / th
-    d1 = ident + a1 / th
-    d2 = a2 / th
-    try:
-        kernels = np.linalg.solve(ident - d1, np.concatenate([d0, d2], axis=2))
-    except np.linalg.LinAlgError:
-        return g_out, iterations, converged
-    idx = np.flatnonzero(valid)
-    h = kernels[idx, :, :m]
-    low = kernels[idx, :, m:]
-    g = low.copy()
-    t = h.copy()
-    best_step = np.full(idx.shape[0], np.inf)
-    stalled = np.zeros(idx.shape[0], dtype=np.int64)
-    resolved = np.zeros(idx.shape[0], dtype=bool)
-    for iteration in range(1, max_iter + 1):
-        if idx.size == 0 or resolved.all():
-            break
-        # One fused matmul computes h@low, low@h, h@h and low@low: the
-        # gufunc dispatches the identical per-slice GEMM either way, so
-        # grouping the dispatches is bit-safe and saves Python overhead.
-        n_act = h.shape[0]
-        prod = np.concatenate([h, low, h, low]) @ np.concatenate([low, h, h, low])
-        u = prod[:n_act] + prod[n_act : 2 * n_act]
-        try:
-            sol = np.linalg.solve(
-                ident - u,
-                np.concatenate(
-                    [prod[2 * n_act : 3 * n_act], prod[3 * n_act :]], axis=2
-                ),
-            )
-        except np.linalg.LinAlgError:
-            break  # leave the unresolved slices non-converged
-        h = sol[:, :, :m]
-        low = sol[:, :, m:]
-        tprod = np.concatenate([t, t]) @ np.concatenate([low, h])
-        g = g + tprod[:n_act]
-        t = tprod[n_act:]
-        step = np.abs(t).max(axis=(1, 2))
-        done = ~resolved & (step < tol)
-        # Same stagnation criterion as the scalar loop: converging slices
-        # set a new step-size minimum every iteration, so only plateaus
-        # accumulate ``stalled`` counts.
-        new_min = step < best_step * (1.0 - 1e-6)
-        best_step = np.where(new_min, step, best_step)
-        stalled = np.where(new_min, 0, stalled + 1)
-        failed = ~resolved & ~done & (stalled >= _STAGNATION_WINDOW)
-        if done.any():
-            # Snapshot at the convergence event: the slice's G and
-            # iteration count are frozen here even though the (resolved)
-            # slice may ride along in the stack a few more iterations.
-            g_out[idx[done]] = g[done]
-            converged[idx[done]] = True
-            iterations[idx[done]] = iteration
-        if failed.any():
-            iterations[idx[failed]] = iteration
-        resolved |= done | failed
-        # Compact only once most of the stack is resolved: per-slice GEMMs
-        # are independent, so carrying a resolved slice extra iterations is
-        # bit-safe, and skipping per-event compaction keeps the copies off
-        # the hot path while still bounding wasted work.
-        n_resolved = int(resolved.sum())
-        if n_resolved and n_resolved * 2 > idx.shape[0]:
-            keep = ~resolved
-            idx = idx[keep]
-            h = h[keep]
-            low = low[keep]
-            g = g[keep]
-            t = t[keep]
-            best_step = best_step[keep]
-            stalled = stalled[keep]
-            resolved = np.zeros(idx.shape[0], dtype=bool)
-    return g_out, iterations, converged
+def _recover_r(
+    a0: np.ndarray, a1: np.ndarray, a2: np.ndarray, g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """R from G over ``(N, m, m)`` stacks, with its quadratic residual."""
+    # R = A0 * (-(A1 + A0 G))^{-1}  (continuous-time identity).
+    r = a0 @ np.linalg.inv(-(a1 + a0 @ g))
+    return r, _quadratic_residual(r, a0, a1, a2)
 
 
 def solve_r_matrix_batched(
     a0: np.ndarray,
     a1: np.ndarray,
     a2: np.ndarray,
-    tol: float = 1e-13,
-    max_iter: int = 200,
+    tol: float = R_TOL,
+    max_iter: int = R_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched first-rung R-matrix solve over ``(N, m, m)`` block stacks.
 
-    Runs only the ``logarithmic-reduction`` rung of the scalar fallback
-    ladder (the rung that wins on essentially every sweep point), batched
-    across the leading axis, and applies the same acceptance test
-    (quadratic residual ``<= 1e-8 * block scale``).  Slices the rung does
-    not accept come back with ``accepted=False`` — the caller is expected
-    to fall back to the full scalar ladder for those points, which
-    reproduces the scalar behavior (substitution rung, tightened rung,
-    typed errors) exactly.
+    Runs the ``logarithmic-reduction`` rung of the fallback ladder (the
+    rung that wins on essentially every sweep point) across the leading
+    axis, with the rung's acceptance test (quadratic residual
+    ``<= 1e-8 * block scale``).  Slices the rung does not accept come back
+    with ``accepted=False``; the caller falls back to the full ladder for
+    those points (substitution rung, tightened rung, typed errors).
 
     Returns
     -------
@@ -540,38 +561,94 @@ def solve_r_matrix_batched(
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
-    n_pts, m, _ = a1.shape
-    g, iterations, converged = solve_g_matrix_batched(
-        a0, a1, a2, tol=tol, max_iter=max_iter
-    )
+    reduction = _log_reduction(a0, a1, a2, tol, max_iter)
     r = np.zeros_like(a1)
-    residual = np.full(n_pts, np.inf)
-    accepted = np.zeros(n_pts, dtype=bool)
-    idx = np.flatnonzero(converged)
+    residual = np.full(a1.shape[0], np.inf)
+    idx = np.flatnonzero(reduction.converged)
     if idx.size:
-        a0_c = a0[idx]
-        a1_c = a1[idx]
-        a2_c = a2[idx]
-        # R = A0 * (-(A1 + A0 G))^{-1}  (continuous-time identity).
-        u = a1_c + a0_c @ g[idx]
-        try:
-            r_c = a0_c @ np.linalg.inv(-u)
-        except np.linalg.LinAlgError:
-            return r, residual, iterations, accepted
-        res = np.abs(a0_c + r_c @ a1_c + r_c @ r_c @ a2_c).max(axis=(1, 2))
-        scale = np.maximum.reduce(
-            [
-                np.abs(a0_c).max(axis=(1, 2)),
-                np.abs(a1_c).max(axis=(1, 2)),
-                np.abs(a2_c).max(axis=(1, 2)),
-                np.ones(idx.shape[0]),
-            ]
+        r[idx], residual[idx] = _recover_r(
+            a0[idx], a1[idx], a2[idx], reduction.g[idx]
         )
-        ok = res <= 1e-8 * scale
-        r[idx] = r_c
-        residual[idx] = res
-        accepted[idx] = ok
-    return r, residual, iterations, accepted
+    accepted = residual <= _LOG_REDUCTION_MAX_RESIDUAL * _block_scale(a0, a1, a2)
+    return r, residual, reduction.iterations, accepted
+
+
+def _solve_boundary(
+    boundary_local: list[np.ndarray],
+    boundary_up: list[np.ndarray],
+    boundary_down: list[np.ndarray],
+    a0: np.ndarray,
+    a1: np.ndarray,
+    a2: np.ndarray,
+    r: np.ndarray,
+    refined: bool = False,
+) -> tuple:
+    """Assemble and solve the finite boundary system (levels ``0..b``).
+
+    Every argument is a ``(k, ., .)`` stack of *rate* blocks (diagonals
+    are derived here), with ``R`` for each slice; a single chain is a stack
+    of one.  Returns ``(pi, residual, ok, offsets, dims, i_minus_r_inv,
+    square, scale)`` over the leading axis; the square systems and scales
+    ride along for the trust assessment of exactly the matrices solved.
+    With ``refined=True`` the square solve runs through the compensated
+    :func:`~repro.robustness.trust.refined_solve` (the precision-escalation
+    rung).
+    """
+    k, m = a1.shape[0], a1.shape[1]
+    b = len(boundary_local)
+    dims = [block.shape[1] for block in boundary_local] + [m]
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    total = int(offsets[-1])
+    big = np.zeros((k, total, total))
+
+    def put(i: int, j: int, block: np.ndarray) -> None:
+        big[:, offsets[i] : offsets[i] + dims[i], offsets[j] : offsets[j] + dims[j]] += block
+
+    for i in range(b):
+        below = [boundary_down[i - 1]] if i else []
+        put(i, i, _with_diagonal(boundary_local[i], boundary_up[i], *below))
+        put(i, i + 1, boundary_up[i])
+        put(i + 1, i, boundary_down[i])
+    # Level b local: its diagonal accounts for A0 and its actual down block.
+    below = [boundary_down[b - 1]] if b else []
+    put(b, b, _with_diagonal(a1, a0, *below) + r @ a2)
+
+    # pi @ big = 0 with normalization sum(boundary) + pi_b (I-R)^{-1} 1 = 1.
+    i_minus_r_inv = np.linalg.inv(np.eye(m) - r)
+    norm_row = np.ones((k, total))
+    norm_row[:, offsets[b] :] = i_minus_r_inv.sum(axis=2)
+    # The balance equations have rank total - 1 (one is redundant), so
+    # replace one with the normalization row and solve the square system
+    # — much cheaper than the SVD behind lstsq.  The residual is checked
+    # against the *full* balance system, so an unlucky replacement (or a
+    # singular square matrix) falls back to least squares per slice.
+    square = np.swapaxes(big, 1, 2).copy()  # never a view of ``big``
+    square[:, -1, :] = norm_row
+    rhs = np.zeros((k, total, 1))
+    rhs[:, -1, 0] = 1.0
+    scale = np.maximum(1.0, np.abs(big).max(axis=(1, 2)))
+    if refined:
+        pi, solved = refined_solve(square, rhs)
+    else:
+        try:
+            pi, solved = np.linalg.solve(square, rhs), True
+        except np.linalg.LinAlgError:
+            solved = False
+    if solved:
+        pi = pi[..., 0]
+        residual = np.abs(pi[:, None, :] @ big).max(axis=(1, 2))
+    else:
+        pi = np.zeros((k, total))
+        residual = np.full(k, np.inf)
+    ok = residual <= 1e-7 * scale
+    for i in np.flatnonzero(~ok):
+        a = np.vstack([big[i].T, norm_row[i][None, :]])
+        rhs_ls = np.zeros(total + 1)
+        rhs_ls[-1] = 1.0
+        pi[i], *_ = np.linalg.lstsq(a, rhs_ls, rcond=None)
+        residual[i] = np.abs(pi[i] @ big[i]).max()
+        ok[i] = residual[i] <= 1e-7 * scale[i]
+    return pi, residual, ok, offsets, dims, i_minus_r_inv, square, scale
 
 
 @dataclass
@@ -811,13 +888,6 @@ class QbdProcess:
                 raise ValidationError(f"{name} must be {self.m}x{self.m}, got {mat.shape}")
 
     # ------------------------------------------------------------------
-    def _with_diagonal(self, local: np.ndarray, out_rates: np.ndarray) -> np.ndarray:
-        """Return the local block with its proper negative diagonal."""
-        block = local.copy()
-        np.fill_diagonal(block, 0.0)
-        np.fill_diagonal(block, -(block.sum(axis=1) + out_rates))
-        return block
-
     def solve(self) -> QbdSolution:
         """Compute the stationary distribution (matrix-geometric form).
 
@@ -840,47 +910,13 @@ class QbdProcess:
 
     def _solve_inner(self) -> QbdSolution:
         start = time.perf_counter()
-        b, m = self.b, self.m
-        a1_full = self._with_diagonal(self.a1, self.a0.sum(axis=1) + self.a2.sum(axis=1))
+        a1_full = _with_diagonal(self.a1[None], self.a0[None], self.a2[None])[0]
         r, r_diag = solve_r_matrix_with_diagnostics(self.a0, a1_full, self.a2)
         r_scale = _block_scale(self.a0, a1_full, self.a2)
         r_residual = r_diag.residual if r_diag.residual is not None else 0.0
 
-        if b == 0:
-            # Level 0 is already repeating with no level below: local block
-            # has only A0 leaving it.
-            a1_level0 = self._with_diagonal(self.a1, self.a0.sum(axis=1))
-            closing = a1_level0 + r @ self.a2
-            pi0 = _solve_boundary_single(closing, r)
-            # Trust assessment over the square analog of the lstsq system
-            # (its last balance row replaced by the geometric norm row).
-            square0 = closing.T.copy()
-            square0[-1] = np.linalg.inv(np.eye(m) - r).sum(axis=1)
-            trust_residual = float(np.abs(pi0 @ closing).max())
-            cond_est, bound, verdict = _assess_trust(
-                square0,
-                trust_residual,
-                max(1.0, float(np.abs(closing).max())),
-                r,
-                r_residual,
-                r_scale,
-            )
-            solution = QbdSolution(
-                [], pi0, r, 0, spectral_radius_hint=r_diag.spectral_radius
-            )
-            return self._finalize(
-                solution,
-                r_diag,
-                boundary_residual=None,
-                start=start,
-                condition_estimate=cond_est,
-                error_bound=bound,
-                trust=verdict,
-            )
-
-        pi, residual, square, scale, offsets, dims = self._boundary_stage(r)
-        cond_est, bound, verdict = _assess_trust(
-            square, residual, scale, r, r_residual, r_scale
+        levels, residual, cond_est, bound, verdict = self._boundary_stage(
+            r, r_residual, r_scale
         )
         escalated = False
         bound_before = None
@@ -889,15 +925,13 @@ class QbdProcess:
             candidate = self._escalate(r, a1_full, r_scale)
             if candidate is not None and candidate[-1] < bound:
                 bound_before = bound
-                r, pi, residual, r_residual, cond_est, bound = candidate
+                r, levels, residual, r_residual, cond_est, bound = candidate
                 verdict = trust_verdict(bound)
                 escalated = True
                 spectral_hint = None  # R moved; recompute sp(R) honestly
 
-        boundary_pi = [pi[offsets[i] : offsets[i] + dims[i]] for i in range(b)]
-        pi_b = pi[offsets[b] :]
         solution = QbdSolution(
-            boundary_pi, pi_b, r, b, spectral_radius_hint=spectral_hint
+            levels[:-1], levels[-1], r, self.b, spectral_radius_hint=spectral_hint
         )
         return self._finalize(
             solution,
@@ -913,87 +947,48 @@ class QbdProcess:
         )
 
     def _boundary_stage(
-        self, r: np.ndarray, refined: bool = False
-    ) -> tuple[np.ndarray, float, np.ndarray, float, np.ndarray, list]:
-        """Assemble and solve the finite boundary system for a given R.
+        self,
+        r: np.ndarray,
+        r_residual: float,
+        r_scale: float,
+        refined: bool = False,
+    ) -> tuple[list, float, float, float, str]:
+        """Solve the finite boundary system for a given R, and assess trust.
 
-        Returns ``(pi, residual, square, scale, offsets, dims)``.  With
+        Runs :func:`_solve_boundary` on a stack of one.  Returns ``(levels,
+        boundary_residual, condition_estimate, error_bound, verdict)``,
+        with ``levels`` the stationary vectors of levels ``0..b``.  With
         ``refined=True`` the square solve runs through the compensated
         :func:`~repro.robustness.trust.refined_solve` (the precision-
-        escalation rung); the default path is bit-identical to the
-        historical inline solve.
+        escalation rung).
         """
-        b, m = self.b, self.m
-        dims = [mat.shape[0] for mat in self.boundary_local] + [m]
-        offsets = np.concatenate([[0], np.cumsum(dims)])
-        total_dim = offsets[-1]
-
-        # Assemble the finite linear system for levels 0..b.
-        big = np.zeros((total_dim, total_dim))
-
-        def put(i: int, j: int, block: np.ndarray) -> None:
-            big[offsets[i] : offsets[i] + dims[i], offsets[j] : offsets[j] + dims[j]] += block
-
-        for i in range(b):
-            down_rates = (
-                self.boundary_down[i - 1].sum(axis=1) if i > 0 else np.zeros(dims[0])
-            )
-            local = self._with_diagonal(
-                self.boundary_local[i],
-                self.boundary_up[i].sum(axis=1) + down_rates,
-            )
-            put(i, i, local)
-            put(i, i + 1, self.boundary_up[i])
-        for i in range(b):
-            put(i + 1, i, self.boundary_down[i])
-        # Level b local: diagonal accounts for its actual down block and A0.
-        local_b = self._with_diagonal(
-            self.a1, self.a0.sum(axis=1) + self.boundary_down[b - 1].sum(axis=1)
+        pi, residual, ok, offsets, dims, _, square, scale = _solve_boundary(
+            [block[None] for block in self.boundary_local],
+            [block[None] for block in self.boundary_up],
+            [block[None] for block in self.boundary_down],
+            self.a0[None],
+            self.a1[None],
+            self.a2[None],
+            r[None],
+            refined,
         )
-        put(b, b, local_b + r @ self.a2)
-
-        # pi @ big = 0 with normalization sum(boundary) + pi_b (I-R)^{-1} 1 = 1.
-        i_minus_r_inv = np.linalg.inv(np.eye(m) - r)
-        norm_row = np.ones(total_dim)
-        norm_row[offsets[b] :] = i_minus_r_inv.sum(axis=1)
-        # The balance equations have rank total_dim - 1 (one is redundant),
-        # so replace one with the normalization row and solve the square
-        # system — much cheaper than the SVD behind lstsq.  The residual is
-        # checked against the *full* balance system below, so an unlucky
-        # replacement (or a singular square matrix) falls back to least
-        # squares before anything can go wrong silently.
-        square = big.T.copy()
-        square[-1] = norm_row
-        rhs = np.zeros(total_dim)
-        rhs[-1] = 1.0
-        scale = max(1.0, np.abs(big).max())
-        if refined:
-            pi, ok = refined_solve(square, rhs)
-            residual = float(np.abs(pi @ big).max()) if ok else float("inf")
-        else:
-            try:
-                pi = np.linalg.solve(square, rhs)
-                residual = float(np.abs(pi @ big).max())
-            except np.linalg.LinAlgError:
-                residual = float("inf")
-        if residual > 1e-7 * scale:
-            a = np.vstack([big.T, norm_row[None, :]])
-            rhs_ls = np.zeros(total_dim + 1)
-            rhs_ls[-1] = 1.0
-            pi, *_ = np.linalg.lstsq(a, rhs_ls, rcond=None)
-            residual = float(np.abs(pi @ big).max())
-        if residual > 1e-7 * scale:
+        balance = float(residual[0])
+        if not ok[0]:
             raise ConvergenceError(
                 "QBD boundary solve failed to balance",
-                residual=residual,
-                tolerance=1e-7 * scale,
+                residual=balance,
+                tolerance=1e-7 * float(scale[0]),
             )
         # Reject materially negative probabilities before clipping can mask
         # them (least-squares noise is fine; structural negatives are not).
         pi = ensure_no_material_negatives(
-            pi, "QBD boundary solution", tol=1e-9, balance_residual=residual
+            pi[0], "QBD boundary solution", tol=1e-9, balance_residual=balance
         )
-        return pi, residual, square, scale, offsets, dims
+        cond_est, bound, verdicts = _assess_trust(
+            square, residual, scale, r[None], r_residual, r_scale
+        )
+        levels = [pi[offsets[i] : offsets[i] + dims[i]] for i in range(self.b + 1)]
+        return levels, balance, float(cond_est[0]), float(bound[0]), verdicts[0]
 
     def _escalate(
         self, r: np.ndarray, a1_full: np.ndarray, r_scale: float
@@ -1002,23 +997,20 @@ class QbdProcess:
 
         One Newton polish of R (exact Kronecker linearization) plus a
         compensated extended-precision re-solve of the boundary system.
-        Returns ``(r, pi, boundary_residual, r_residual, cond, bound)``
+        Returns ``(r, levels, boundary_residual, r_residual, cond, bound)``
         or None when the rung failed; the caller accepts the candidate
         only if its bound strictly shrinks, so escalation can never make
         a result *less* trustworthy.
         """
         polished, r_residual, _ = newton_polish_r(r, self.a0, a1_full, self.a2)
         try:
-            pi, residual, square, scale, _, _ = self._boundary_stage(
-                polished, refined=True
+            levels, residual, cond_est, bound, _ = self._boundary_stage(
+                polished, r_residual, r_scale, refined=True
             )
         except (ReproError, np.linalg.LinAlgError):
             return None
         counter_inc("qbd.trust.escalations")
-        cond_est, bound, _ = _assess_trust(
-            square, residual, scale, polished, r_residual, r_scale
-        )
-        return polished, pi, residual, r_residual, cond_est, bound
+        return polished, levels, residual, r_residual, cond_est, bound
 
     def _finalize(
         self,
@@ -1084,12 +1076,3 @@ def cached_solution(key: tuple, compute) -> QbdSolution:
         clone.diagnostics = replace(solution.diagnostics, cache_hit=True)
     return clone
 
-
-def _solve_boundary_single(local_plus_ra2: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Solve the no-boundary case: pi0 (A1 + R A2) = 0 with geometric norm."""
-    m = r.shape[0]
-    a = np.vstack([local_plus_ra2.T, np.linalg.inv(np.eye(m) - r).sum(axis=1)[None, :]])
-    rhs = np.zeros(m + 1)
-    rhs[-1] = 1.0
-    pi0, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    return ensure_no_material_negatives(pi0, "QBD level-0 solution", tol=1e-9)

@@ -2,11 +2,11 @@
 
 The figure 4-6 sweeps evaluate the same A0/A1/A2 block structure at every
 grid point; the per-point path pays one Python-loop QBD solve per point.
-:func:`prefetch_sweep_solutions` builds every point's analysis, stacks the
-analyses' own QBD blocks into ``(N, m, m)`` tensors by shape, and runs the
-logarithmic-reduction iteration, the R-matrix recovery, the boundary
-solves and the trust assessment as batched ``numpy.linalg`` calls over
-the leading axis (:func:`repro.markov.qbd.solve_r_matrix_batched`).  Each
+:func:`prefetch_sweep_solutions` gathers every point's analysis, stacks
+the analyses' own QBD blocks into ``(N, m, m)`` tensors by shape, runs
+:mod:`repro.markov.qbd`'s stacked rung-1 kernels over each stack (the
+logarithmic reduction and R recovery of :func:`solve_r_matrix_batched`,
+the boundary solve, the trust assessment), and gates the slices.  Each
 accepted solution is seeded into the active sweep cache under the
 ``analysis-solution`` key the analysis itself looks up, so the per-point
 loop finds it in memory and neither assembles nor solves that chain.
@@ -18,11 +18,13 @@ prefetch left unseeded; to break every exact solve, break
 
 Correctness model
 -----------------
-* Batched ``matmul``/``solve``/``inv``/``eigvals``/``cond`` dispatch the
-  identical LAPACK routine per slice, so a seeded solution is
-  bit-identical to the one the per-point rung-1 solve would compute.
+* Same code: the per-point rung-1 solve runs the same stacked kernels on
+  a stack of one, and batched ``matmul``/``solve``/``inv`` dispatch the
+  same LAPACK routine per slice whatever else the stack holds, so a
+  seeded solution is bit-identical to the one the per-point solve would
+  compute.
 * Only the first (``logarithmic-reduction``) rung runs stacked, and only
-  solutions that pass every scalar acceptance gate (boundary balance, no
+  solutions that pass every per-point acceptance gate (boundary balance, no
   material negatives, ``sp(R) < 1``, ``cond(I - R)`` below the warn band,
   normalization, a ``trusted`` verdict) are seeded.  Anything else stays
   unseeded and the per-point path runs its full fallback ladder for it,
@@ -40,10 +42,16 @@ from typing import Sequence
 
 import numpy as np
 
-from ..markov.qbd import R_MAX_ITER, R_TOL, QbdSolution, solve_r_matrix_batched
+from ..markov.qbd import (
+    QbdSolution,
+    _assess_trust,
+    _block_scale,
+    _solve_boundary,
+    _with_diagonal,
+    solve_r_matrix_batched,
+)
 from ..robustness import RungAttempt, SolverDiagnostics
 from ..robustness.guards import CONDITION_WARN
-from ..robustness.trust import compose_bound, condest_1, trust_verdicts
 from ..telemetry import counter_inc, span
 from .cache import active_cache
 
@@ -112,15 +120,6 @@ def prefetch_sweep_solutions(
         counter_inc("qbd.r_matrix.method.logarithmic-reduction", seeded)
 
 
-def _with_diagonal_batched(local: np.ndarray, out_rates: np.ndarray) -> np.ndarray:
-    """Batched :meth:`QbdProcess._with_diagonal` over ``(N, m, m)`` stacks."""
-    block = local.copy()
-    di = np.arange(block.shape[-1])
-    block[:, di, di] = 0.0
-    block[:, di, di] = -(block.sum(axis=2) + out_rates)
-    return block
-
-
 def _solve_stack(items: list, cache) -> int:
     """Solve one shape-homogeneous stack and seed its accepted points.
 
@@ -138,50 +137,42 @@ def _solve_stack(items: list, cache) -> int:
         name: [np.stack([getattr(p, name)[i] for p in processes]) for i in range(b)]
         for name in ("boundary_local", "boundary_up", "boundary_down")
     }
-    a1_full = _with_diagonal_batched(a1, a0.sum(axis=2) + a2.sum(axis=2))
-    r, residual, iterations, accepted = solve_r_matrix_batched(
-        a0, a1_full, a2, tol=R_TOL, max_iter=R_MAX_ITER
-    )
+    a1_full = _with_diagonal(a1, a0, a2)
+    r, residual, iterations, accepted = solve_r_matrix_batched(a0, a1_full, a2)
     acc = np.flatnonzero(accepted)
     if not acc.size:
         return 0
-    eye_m = np.eye(m)
-    sp_r = np.abs(np.linalg.eigvals(r[acc])).max(axis=1)
-    pi, resid_b, ok, offsets, dims, inv, square, bscale = _solve_boundary_batched(
+    r = r[acc]
+    pi, resid_b, ok, offsets, dims, inv, square, bscale = _solve_boundary(
         [blk[acc] for blk in boundary["boundary_local"]],
         [blk[acc] for blk in boundary["boundary_up"]],
         [blk[acc] for blk in boundary["boundary_down"]],
         a0[acc],
         a1[acc],
         a2[acc],
-        r[acc],
+        r,
     )
-    # cond(I - R): same per-slice SVD as the scalar check_conditioning; the
-    # warn band stays unseeded so the per-point path emits its warning.
-    cond = np.linalg.cond(eye_m - r[acc])
+    cond_est, bound, verdicts = _assess_trust(
+        square,
+        resid_b,
+        bscale,
+        r,
+        residual[acc],
+        _block_scale(a0[acc], a1_full[acc], a2[acc]),
+    )
+    # The gates of the per-point path.  cond(I - R): same per-slice SVD as
+    # its check_conditioning; the warn band stays unseeded so the
+    # per-point path emits its warning.  Non-trusted points stay unseeded
+    # too; the per-point escalation rung owns them.
+    eye_m = np.eye(m)
+    sp_r = np.abs(np.linalg.eigvals(r)).max(axis=1)
+    cond = np.linalg.cond(eye_m - r)
     pscale = np.maximum(1.0, np.abs(pi).max(axis=1))
     neg_ok = pi.min(axis=1) >= -1e-9 * pscale
     pi = np.clip(pi, 0.0, None)
     tail = (pi[:, None, offsets[b] :] @ inv)[:, 0, :].sum(axis=1)
     mass = pi[:, : offsets[b]].sum(axis=1) + tail
-    # Trust: the scalar ``_assess_trust`` arithmetic over the whole stack,
-    # so a seeded point carries the bit-identical verdict.  Non-trusted
-    # points stay unseeded; the per-point escalation rung owns them.
-    cond_boundary = np.asarray(condest_1(square))
-    cond_i_minus_r = np.asarray(condest_1(eye_m - r[acc]))
-    r_scale = np.maximum.reduce(
-        [
-            np.abs(a0[acc]).max(axis=(1, 2)),
-            np.abs(a1_full[acc]).max(axis=(1, 2)),
-            np.abs(a2[acc]).max(axis=(1, 2)),
-            np.ones(acc.size),
-        ]
-    )
-    bound = compose_bound(
-        cond_boundary, resid_b, bscale, cond_i_minus_r, residual[acc], r_scale
-    )
-    cond_est = np.maximum(cond_boundary, cond_i_minus_r)
-    trusted = np.array([v == "trusted" for v in trust_verdicts(bound)], dtype=bool)
+    trusted = np.array([v == "trusted" for v in verdicts], dtype=bool)
     good = (
         ok
         & neg_ok
@@ -207,7 +198,7 @@ def _solve_stack(items: list, cache) -> int:
                 for i in range(b)
             ],
             np.ascontiguousarray(pi[j, offsets[b] :]),
-            np.ascontiguousarray(r[gi]),
+            np.ascontiguousarray(r[j]),
             b,
             tail_spectral_radius=float(sp_r[j]),
             condition_i_minus_r=float(cond[j]),
@@ -229,75 +220,3 @@ def _solve_stack(items: list, cache) -> int:
         )
         cache.seed("analysis-solution", items[gi][0], solution)
     return int(good.sum())
-
-
-def _solve_boundary_batched(
-    boundary_local: list[np.ndarray],
-    boundary_up: list[np.ndarray],
-    boundary_down: list[np.ndarray],
-    a0: np.ndarray,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    r: np.ndarray,
-) -> tuple:
-    """Batched boundary linear stage (mirrors ``QbdProcess._boundary_stage``).
-
-    Returns ``(pi, residual, ok, offsets, dims, i_minus_r_inv, square,
-    scale)`` over the leading axis — the square system stack and scales
-    ride along so the caller can run the stacked trust assessment on the
-    exact matrices that were solved.  The square solve runs batched; the
-    rare points it cannot balance get the scalar path's exact
-    least-squares fallback, per point.
-    """
-    k, m = a1.shape[0], a1.shape[1]
-    b = len(boundary_local)
-    dims = [blv.shape[1] for blv in boundary_local] + [m]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    total = int(offsets[-1])
-    big = np.zeros((k, total, total))
-
-    def put(i: int, j: int, block: np.ndarray) -> None:
-        big[:, offsets[i] : offsets[i] + dims[i], offsets[j] : offsets[j] + dims[j]] += block
-
-    for i in range(b):
-        down_rates = (
-            boundary_down[i - 1].sum(axis=2) if i > 0 else np.zeros((k, dims[0]))
-        )
-        local = _with_diagonal_batched(
-            boundary_local[i], boundary_up[i].sum(axis=2) + down_rates
-        )
-        put(i, i, local)
-        put(i, i + 1, boundary_up[i])
-    for i in range(b):
-        put(i + 1, i, boundary_down[i])
-    local_b = _with_diagonal_batched(
-        a1, a0.sum(axis=2) + boundary_down[b - 1].sum(axis=2)
-    )
-    put(b, b, local_b + r @ a2)
-
-    i_minus_r_inv = np.linalg.inv(np.eye(m) - r)
-    norm_row = np.ones((k, total))
-    norm_row[:, offsets[b] :] = i_minus_r_inv.sum(axis=2)
-    square = np.ascontiguousarray(np.swapaxes(big, 1, 2))
-    square[:, -1, :] = norm_row
-    rhs = np.zeros((k, total, 1))
-    rhs[:, -1, 0] = 1.0
-    scale = np.maximum(1.0, np.abs(big).max(axis=(1, 2)))
-    try:
-        pi = np.linalg.solve(square, rhs)[..., 0]
-        residual = np.abs(pi[:, None, :] @ big).max(axis=(1, 2))
-    except np.linalg.LinAlgError:
-        pi = np.zeros((k, total))
-        residual = np.full(k, np.inf)
-    ok = residual <= 1e-7 * scale
-    for i in np.flatnonzero(~ok):
-        a = np.vstack([big[i].T, norm_row[i][None, :]])
-        rhs_ls = np.zeros(total + 1)
-        rhs_ls[-1] = 1.0
-        sol, *_ = np.linalg.lstsq(a, rhs_ls, rcond=None)
-        resid_i = float(np.abs(sol @ big[i]).max())
-        if resid_i <= 1e-7 * scale[i]:
-            pi[i] = sol
-            residual[i] = resid_i
-            ok[i] = True
-    return pi, residual, ok, offsets, dims, i_minus_r_inv, square, scale

@@ -134,8 +134,8 @@ def condest_1(a: np.ndarray) -> "float | np.ndarray":
         est = np.maximum(est, np.abs(y).sum(axis=-1))
         s = np.where(y >= 0.0, 1.0, -1.0)
         z = _solve_stack(at, s)
-        with np.errstate(invalid="ignore"):
-            j = np.nanargmax(np.where(np.isfinite(z), np.abs(z), -1.0), axis=-1)
+        # Non-finite entries become -1, so no NaN is left for argmax.
+        j = np.where(np.isfinite(z), np.abs(z), -1.0).argmax(axis=-1)
         x = np.zeros((n_pts, n))
         x[rows, j] = 1.0
     with np.errstate(invalid="ignore", over="ignore"):

@@ -94,6 +94,92 @@ class TestStagnationFailFast:
         assert iterations[0] >= _STAGNATION_WINDOW
 
 
+def _reference_log_reduction(a0, a1, a2, tol, max_iter):
+    """One chain, one plain loop: ``(G or None, iterations, stagnated)``.
+
+    The reference for the stacked iteration: same arithmetic, with the
+    stagnation counter updated every iteration.
+    """
+    m = a1.shape[0]
+    ident = np.eye(m)
+    theta = np.abs(np.diag(a1)).max() * (1.0 + 1e-9)
+    kernels = np.linalg.solve(
+        ident - (ident + a1 / theta), np.concatenate([a0 / theta, a2 / theta], axis=1)
+    )
+    h, low = kernels[:, :m], kernels[:, m:]
+    g, t = low.copy(), h.copy()
+    best, stalled = np.inf, 0
+    for iteration in range(1, max_iter + 1):
+        sol = np.linalg.solve(
+            ident - (h @ low + low @ h), np.concatenate([h @ h, low @ low], axis=1)
+        )
+        h, low = sol[:, :m], sol[:, m:]
+        g = g + t @ low
+        t = t @ h
+        step = float(np.abs(t).max())
+        if step < tol:
+            return g, iteration, False
+        if step < best * (1.0 - 1e-6):
+            best, stalled = step, 0
+        else:
+            stalled += 1
+            if stalled >= _STAGNATION_WINDOW:
+                return None, iteration, True
+    return None, max_iter, False
+
+
+class TestStackedIterationMatchesReference:
+    def test_every_slice_matches_the_plain_loop(self):
+        # Converging, slowly converging and plateauing (rho > 1) chains in
+        # one stack, so slices leave it at different iterations.
+        rng = np.random.default_rng(3)
+        blocks = []
+        for scale in (0.2, 0.5, 0.9, 1.0, 1.3, 2.0):
+            for _ in range(3):
+                a0 = rng.random((3, 3)) * scale
+                a2 = rng.random((3, 3))
+                a1 = rng.random((3, 3)) * 0.3
+                np.fill_diagonal(a1, 0.0)
+                np.fill_diagonal(a1, -(a1.sum(1) + a0.sum(1) + a2.sum(1)))
+                blocks.append((a0, a1, a2))
+        stack = [np.stack([b[k] for b in blocks]) for k in range(3)]
+        for tol, max_iter in ((1e-13, 200), (1e-30, 200), (1e-13, 6)):
+            g, iterations, converged = solve_g_matrix_batched(
+                *stack, tol=tol, max_iter=max_iter
+            )
+            outcomes = {True: 0, False: 0}
+            for i, (a0, a1, a2) in enumerate(blocks):
+                ref_g, ref_iterations, _ = _reference_log_reduction(
+                    a0, a1, a2, tol, max_iter
+                )
+                assert iterations[i] == ref_iterations
+                assert converged[i] == (ref_g is not None)
+                if ref_g is not None:
+                    np.testing.assert_array_equal(g[i], ref_g)
+                outcomes[bool(converged[i])] += 1
+            assert outcomes[True] and outcomes[False]
+
+    def test_single_chain_errors_match_the_plain_loop(self):
+        a0, a1, a2 = (
+            np.array([[1.05]]),
+            np.array([[-2.05]]),
+            np.array([[1.0]]),
+        )
+        _, ref_iterations, stagnated = _reference_log_reduction(
+            a0, a1, a2, 1e-30, 500
+        )
+        assert stagnated
+        with pytest.raises(ConvergenceError, match="stagnated") as excinfo:
+            solve_g_matrix(a0, a1, a2, tol=1e-30, max_iter=500)
+        assert excinfo.value.context["iterations"] == ref_iterations
+        with pytest.raises(ConvergenceError, match="did not converge in 3") as excinfo:
+            solve_g_matrix(
+                np.array([[0.5]]), np.array([[-1.5]]), np.array([[1.0]]),
+                tol=1e-30, max_iter=3,
+            )
+        assert excinfo.value.context["iterations"] == 3
+
+
 class TestRPowerCache:
     def test_level_vector_extends_cumulatively(self):
         sol = mm1_qbd(0.5, 1.0).solve()

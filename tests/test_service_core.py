@@ -1,14 +1,16 @@
 """QueryService behavior: admission, deadlines, breaker, cache, manifest."""
 
 import asyncio
+import functools
 import json
 
 import pytest
 
 import repro.contracts
+import repro.service.service as service_module
 from repro.contracts import contracts_for
 from repro.core import CsCqAnalysis, CsIdAnalysis
-from repro.orchestration import inject_faults
+from repro.orchestration import DeadlineBudget, inject_faults
 from repro.perf import SweepCache
 from repro.robustness import CircuitBreaker, ServiceOverloadError
 from repro.service import QueryService, ScenarioQuery
@@ -100,6 +102,24 @@ class TestPhaseTypeShorts:
         assert names[CsIdAnalysis] == {"littles-law-short", "littles-law-long"}
 
 
+@pytest.fixture
+def frozen_budget_clock(monkeypatch):
+    """Query budgets on a clock that stands still.
+
+    Which rungs a tiny deadline reaches then depends on the deadline
+    alone, not on how long thread hand-offs take on a loaded machine:
+    the exact rung is skipped (budget below ``EXACT_MIN_BUDGET``), the
+    worker rung is abandoned or answers within its real-time timeout,
+    and the closed-form floor always still has budget.
+    """
+    monkeypatch.setattr(
+        service_module,
+        "DeadlineBudget",
+        functools.partial(DeadlineBudget, clock=lambda: 0.0),
+    )
+
+
+@pytest.mark.usefixtures("frozen_budget_clock")
 class TestDeadlines:
     def test_tiny_deadline_degrades_to_the_bound_rung(self):
         # Far too small for a QBD solve, large enough for closed forms.
@@ -197,6 +217,7 @@ class TestCircuitBreaker:
 
 
 class TestManifest:
+    @pytest.mark.usefixtures("frozen_budget_clock")
     def test_totals_match_telemetry_counters(self, tmp_path):
         queries = [
             _query(label="ok-1"),

@@ -81,6 +81,12 @@ class TestDisabledModeIdentity:
         # ``attrs.get("accepted") is False``, which np.False_ would dodge.
         assert accepted[0]["attrs"]["accepted"] is True
         assert accepted[0]["attrs"]["iterations"] == diagnostics.iterations
+        # The per-iteration convergence trace lands on the accepted rung's
+        # span and records one step size per iteration, the last included.
+        convergence = accepted[0]["attrs"]["convergence"]
+        assert convergence["iterations"] == diagnostics.iterations
+        assert convergence["sampled_iterations"][-1] == diagnostics.iterations
+        assert len(convergence["residuals"]) == len(convergence["sampled_iterations"])
         # Satellite: per-rung iteration counts surface on the diagnostics.
         assert diagnostics.rung_iterations == {
             attempt.name: attempt.iterations for attempt in diagnostics.rungs
