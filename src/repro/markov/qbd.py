@@ -20,11 +20,13 @@ returned :class:`QbdSolution`.  All failure paths raise typed
 iteration counts, condition numbers and spectral radii.
 
 Rung 1 (the logarithmic-reduction iteration, the R recovery), the
-boundary solve and the trust assessment are written once, over
-``(N, m, m)`` stacks: :meth:`QbdProcess.solve` runs them on a stack of
-one, and the sweep prefetch (:mod:`repro.perf.batched`) on a stack of a
-whole sweep row.  Only the fallback rungs (successive substitution, the
-tightened rung, the Newton/refined escalation) are single-chain code.
+boundary solve, the trust assessment, the acceptance gates and the
+assembly of a :class:`QbdSolution` are written once, over ``(N, m, m)``
+stacks: :meth:`QbdProcess.solve` runs them on a stack of one, and the
+sweep prefetch (:mod:`repro.perf.batched`, through
+:func:`trusted_rung1_solutions`) on a stack of a whole sweep row.  Only
+the fallback rungs (successive substitution, the tightened rung, the
+Newton/refined escalation) are single-chain code.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
@@ -51,19 +54,19 @@ from ..robustness import (
     NumericalError,
     ReproError,
     Rung,
+    RungAttempt,
     SolverDiagnostics,
     UnstableSystemError,
     ValidationError,
-    check_conditioning,
     compose_bound,
     condest_1,
+    conditioning_outcome,
     ensure_no_material_negatives,
     ensure_rate_block,
     newton_polish_r,
     refined_solve,
     run_fallback_ladder,
     spectral_radius,
-    trust_verdict,
     trust_verdicts,
 )
 
@@ -127,8 +130,8 @@ def _assess_trust(
     r: np.ndarray,
     r_residual: "float | np.ndarray",
     r_scale: "float | np.ndarray",
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """``(condition_estimate, error_bound, verdicts)`` over a stack of solves.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(condition_estimate, error_bound)`` over a stack of solves.
 
     ``square`` and ``r`` are ``(N, n, n)`` and ``(N, m, m)`` stacks, the
     residuals and scales ``(N,)`` arrays or scalars; a single solve is a
@@ -145,7 +148,7 @@ def _assess_trust(
         r_residual,
         r_scale,
     )
-    return np.maximum(cond_boundary, cond_i_minus_r), bound, trust_verdicts(bound)
+    return np.maximum(cond_boundary, cond_i_minus_r), bound
 
 
 #: Iteration-budget multiplier for the successive-substitution rung.
@@ -231,11 +234,16 @@ def solve_r_matrix_with_diagnostics(
         sp.set("iterations", diagnostics.iterations)
         sp.set("spectral_radius", diagnostics.spectral_radius)
         sp.set("rung_iterations", diagnostics.rung_iterations)
-    counter_inc("qbd.r_matrix.solves")
-    counter_inc(f"qbd.r_matrix.method.{diagnostics.method}")
+    _count_r_solves(diagnostics.method)
     if diagnostics.wall_time is not None:
         observe("qbd.r_matrix.seconds", diagnostics.wall_time)
     return r, diagnostics
+
+
+def _count_r_solves(method: str, count: int = 1) -> None:
+    """Count ``count`` R-matrix solves settled by the rung ``method``."""
+    counter_inc("qbd.r_matrix.solves", count)
+    counter_inc(f"qbd.r_matrix.method.{method}", count)
 
 
 def _run_r_ladder(
@@ -651,9 +659,276 @@ def _solve_boundary(
     return pi, residual, ok, offsets, dims, i_minus_r_inv, square, scale
 
 
+class ChainStack(NamedTuple):
+    """Rate blocks of ``N`` chains of one shape, stacked on a leading axis.
+
+    The boundary lists hold one ``(N, ., .)`` stack per boundary level;
+    ``a1_full`` is ``A1`` with its generator diagonal.
+    """
+
+    boundary_local: list
+    boundary_up: list
+    boundary_down: list
+    a0: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    a1_full: np.ndarray
+
+    @classmethod
+    def of(cls, processes: "Sequence[QbdProcess]") -> "ChainStack":
+        """Stack processes that share ``b``, ``m`` and boundary shapes
+        (one process stacks as views of its blocks)."""
+
+        def stacked(blocks: list) -> np.ndarray:
+            return blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+
+        levels = range(processes[0].b)
+        boundary = [
+            [stacked([getattr(p, name)[i] for p in processes]) for i in levels]
+            for name in ("boundary_local", "boundary_up", "boundary_down")
+        ]
+        a0, a1, a2 = (
+            stacked([getattr(p, name) for p in processes]) for name in ("a0", "a1", "a2")
+        )
+        return cls(*boundary, a0, a1, a2, _with_diagonal(a1, a0, a2))
+
+    def take(self, idx: np.ndarray) -> "ChainStack":
+        """The sub-stack of slices ``idx``."""
+        return ChainStack(
+            *([block[idx] for block in blocks] for blocks in self[:3]),
+            *(block[idx] for block in self[3:]),
+        )
+
+
+class _Solved(NamedTuple):
+    """A stack solved for given R, filled by :func:`_boundary_stage` and
+    :func:`_gate_tail`.  ``failures[j]``: the typed error of the first gate
+    slice ``j`` fails, or None; ``warnings[j]``: its NearBoundaryWarning
+    (``cond(I - R)`` in the warn band), or None."""
+
+    r: np.ndarray
+    r_residual: Optional[np.ndarray]
+    #: Per slice, the stationary vectors of levels ``0..b`` (clipped at 0
+    #: where the boundary gates passed).
+    levels: list
+    #: ``(I - R)^{-1}`` per slice: the inverse the normalization row used.
+    i_minus_r_inv: np.ndarray
+    failures: list
+    balance: Optional[np.ndarray] = None
+    condition_estimate: Optional[np.ndarray] = None
+    error_bound: Optional[np.ndarray] = None
+    verdicts: Optional[list] = None
+    #: Set when this stage is the precision-escalation rung's result.
+    error_bound_before_escalation: Optional[np.ndarray] = None
+    spectral_radius: Optional[np.ndarray] = None
+    condition: Optional[np.ndarray] = None
+    warnings: Optional[list] = None
+
+
+def _boundary_stage(
+    stack: ChainStack,
+    r: np.ndarray,
+    r_residual: np.ndarray,
+    r_scale: np.ndarray,
+    refined: bool = False,
+) -> _Solved:
+    """Solve a stack's boundary systems for given R, gate boundary balance
+    and material negatives, and assess the trust of the slices passing
+    both (the others keep a NaN bound).  ``refined=True`` is the
+    precision-escalation rung's compensated solve."""
+    pi, balance, ok, offsets, dims, inv, square, scale = _solve_boundary(
+        *stack[:6], r, refined
+    )
+    failures: list = [None] * len(pi)
+    for j in range(len(pi)):
+        if not ok[j]:
+            failures[j] = ConvergenceError(
+                "QBD boundary solve failed to balance",
+                residual=float(balance[j]),
+                tolerance=1e-7 * float(scale[j]),
+            )
+            continue
+        # Reject materially negative probabilities before clipping can mask
+        # them (least-squares noise is fine; structural negatives are not).
+        try:
+            pi[j] = ensure_no_material_negatives(
+                pi[j], "QBD boundary solution", tol=1e-9, balance_residual=float(balance[j])
+            )
+        except ValidationError as exc:
+            failures[j] = exc
+    cond_est, bound = np.full((2, len(pi)), np.nan)
+    good = np.flatnonzero([failure is None for failure in failures])
+    if good.size:
+        cond_est[good], bound[good] = _assess_trust(
+            square[good], balance[good], scale[good], r[good], r_residual[good], r_scale[good]
+        )
+    levels = [[row[offsets[i] : offsets[i] + dims[i]] for i in range(len(dims))] for row in pi]
+    return _Solved(
+        r, r_residual, levels, inv, failures, balance, cond_est, bound, trust_verdicts(bound)
+    )
+
+
+def _gate_tail(
+    solved: _Solved, spectral_radius: Optional[np.ndarray] = None, normalization: bool = True
+) -> _Solved:
+    """Derive ``sp(R)`` (unless given) and ``cond(I - R)`` (one SVD per
+    slice), and gate the slices that passed the boundary gates: ``sp(R) <
+    1``, the cond error and warn bands, then (if ``normalization``) the
+    total mass."""
+    r = solved.r
+    if spectral_radius is None:
+        spectral_radius = np.abs(np.linalg.eigvals(r)).max(axis=1)
+    try:
+        condition = np.linalg.cond(np.eye(r.shape[-1]) - r)
+    except np.linalg.LinAlgError:
+        condition = np.full(len(r), np.inf)
+    failures = list(solved.failures)
+    near_boundary: list = [None] * len(r)
+    tails = zip(solved.levels, solved.i_minus_r_inv, spectral_radius.tolist(), condition.tolist())
+    for j, (levels, inverse, sp, cond) in enumerate(tails):
+        if failures[j] is not None:
+            continue
+        if sp >= 1.0:
+            failures[j] = UnstableSystemError(
+                "geometric tail is not summable: sp(R) >= 1 (the chain is "
+                "not positive recurrent at these rates)",
+                spectral_radius=sp,
+            )
+            continue
+        failures[j], near_boundary[j] = conditioning_outcome(cond, "I - R", sp)
+        if failures[j] is not None or not normalization:
+            continue
+        mass = _total_mass(levels[:-1], levels[-1], inverse)
+        if not 0.999999 < mass < 1.000001:
+            failures[j] = NumericalError(
+                "QBD normalization failed",
+                total_mass=mass,
+                spectral_radius=sp,
+                condition_number=cond,
+            )
+    return solved._replace(
+        failures=failures, warnings=near_boundary,
+        spectral_radius=spectral_radius, condition=condition,
+    )
+
+
+def _raise_failed_gate(solved: _Solved) -> None:
+    """A stack of one's tail warning, then its failed gate as its error."""
+    if solved.warnings and solved.warnings[0] is not None:
+        warnings.warn(solved.warnings[0], stacklevel=2)
+    if solved.failures[0] is not None:
+        raise solved.failures[0]
+
+
+def _assemble(solved: _Solved, j: int, rungs: tuple, wall_time: float) -> "QbdSolution":
+    """Slice ``j`` of a gated stack as a solution with its diagnostics;
+    ``rungs`` is the R solve's ladder record (its last rung won)."""
+    levels = solved.levels[j]
+    spectral = float(solved.spectral_radius[j])
+    condition = float(solved.condition[j])
+    before = solved.error_bound_before_escalation
+    diagnostics = SolverDiagnostics(
+        method=rungs[-1].name,
+        rungs=rungs,
+        residual=float(solved.r_residual[j]),
+        spectral_radius=spectral,
+        condition_i_minus_r=condition,
+        boundary_residual=float(solved.balance[j]),
+        iterations=rungs[-1].iterations,
+        wall_time=wall_time,
+        condition_estimate=float(solved.condition_estimate[j]),
+        error_bound=float(solved.error_bound[j]),
+        trust=solved.verdicts[j],
+        escalated=before is not None,
+        error_bound_before_escalation=None if before is None else float(before[j]),
+    )
+    return QbdSolution(
+        levels[:-1], levels[-1], solved.r[j], len(levels) - 1,
+        spectral, condition, solved.i_minus_r_inv[j], diagnostics,
+    )
+
+
+def trusted_rung1_solutions(
+    stack: ChainStack,
+    r: np.ndarray,
+    residual: np.ndarray,
+    iterations: np.ndarray,
+    accepted: np.ndarray,
+    start: float,
+) -> "list[Optional[QbdSolution]]":
+    """Solutions of the slices a per-point solve would settle on rung 1.
+
+    Runs the per-point boundary stage and tail gates on the slices
+    :func:`solve_r_matrix_batched` accepted for ``stack``.  A slice gets
+    its solution only if it passes every gate with a ``trusted`` verdict
+    and no warning, i.e. when :meth:`QbdProcess.solve` would neither
+    escalate, warn nor fall back; the others are None.  Each counts as one
+    QBD solve, with an equal share of the wall time since ``start``.
+    """
+    solutions: list = [None] * len(r)
+    acc = np.flatnonzero(accepted)
+    if not acc.size:
+        return solutions
+    sub = stack.take(acc)
+    r_scale = _block_scale(sub.a0, sub.a1_full, sub.a2)
+    solved = _gate_tail(_boundary_stage(sub, r[acc], residual[acc], r_scale))
+    wall_time = (time.perf_counter() - start) / acc.size
+    for j, i in enumerate(acc.tolist()):
+        if solved.failures[j] is not None or solved.warnings[j] is not None:
+            continue
+        if solved.verdicts[j] != "trusted":
+            continue
+        attempt = RungAttempt(
+            "logarithmic-reduction",
+            accepted=True,
+            residual=float(residual[i]),
+            iterations=int(iterations[i]),
+        )
+        solutions[i] = _assemble(solved, j, (attempt,), wall_time)
+    solved_count = sum(solution is not None for solution in solutions)
+    if solved_count:
+        counter_inc("qbd.solves", solved_count)
+        _count_r_solves("logarithmic-reduction", solved_count)
+    return solutions
+
+
+def _total_mass(boundary_pi: Sequence, pi_repeat: np.ndarray, i_minus_r_inv: np.ndarray) -> float:
+    """Total probability mass of a matrix-geometric solution (should be 1)."""
+    tail = float((pi_repeat @ i_minus_r_inv).sum())
+    return sum(float(v.sum()) for v in boundary_pi) + tail
+
+
+def restore_solution(
+    boundary_pi: list,
+    pi_repeat: np.ndarray,
+    r_matrix: np.ndarray,
+    first_repeating_level: int,
+    diagnostics: Optional[SolverDiagnostics],
+    spectral_radius: Optional[float] = None,
+) -> "QbdSolution":
+    """A stored solution: ``(I - R)^{-1}`` and ``cond(I - R)`` re-derived
+    from its R, and the ``sp(R)`` and cond gates of a solve re-run on them
+    (the store's contracts check normalization).  Bit-identical inputs
+    give back the original attribute for attribute."""
+    r = r_matrix[None]
+    inv = np.linalg.inv(np.eye(r.shape[-1]) - r)
+    known = None if spectral_radius is None else np.array([spectral_radius])
+    levels = [[*boundary_pi, pi_repeat]]
+    solved = _gate_tail(_Solved(r, None, levels, inv, [None]), known, normalization=False)
+    _raise_failed_gate(solved)
+    return QbdSolution(
+        boundary_pi, pi_repeat, r_matrix, first_repeating_level,
+        float(solved.spectral_radius[0]), float(solved.condition[0]), inv[0], diagnostics,
+    )
+
+
 @dataclass
 class QbdSolution:
     """Stationary solution of a :class:`QbdProcess`.
+
+    Built by :func:`_assemble` (for :meth:`QbdProcess.solve` and
+    :func:`trusted_rung1_solutions`) and :func:`restore_solution`, after
+    the tail gates of :func:`_gate_tail`.
 
     Attributes
     ----------
@@ -664,23 +939,20 @@ class QbdSolution:
         follow as ``pi_repeat @ R^k``.
     r_matrix:
         The rate matrix of the geometric tail.
+    tail_spectral_radius, condition_i_minus_r, i_minus_r_inv:
+        ``sp(R)`` (below 1), ``cond(I - R)`` and ``(I - R)^{-1}``.
     diagnostics:
-        :class:`SolverDiagnostics` of the solve that produced this solution
-        (None for hand-built solutions).
+        :class:`SolverDiagnostics` of the solve that produced this solution.
     """
 
     boundary_pi: list[np.ndarray]
     pi_repeat: np.ndarray
     r_matrix: np.ndarray
     first_repeating_level: int
+    tail_spectral_radius: float = field(repr=False)
+    condition_i_minus_r: float = field(repr=False)
+    i_minus_r_inv: np.ndarray = field(repr=False)
     diagnostics: Optional[SolverDiagnostics] = None
-    #: Caller-supplied ``sp(R)`` (e.g. from the R-solve diagnostics, which
-    #: already computed it for the same matrix) to skip a duplicate
-    #: eigenvalue computation; left None for hand-built solutions.
-    spectral_radius_hint: Optional[float] = field(default=None, repr=False)
-    tail_spectral_radius: float = field(init=False, repr=False)
-    condition_i_minus_r: float = field(init=False, repr=False)
-    _i_minus_r_inv: np.ndarray = field(init=False, repr=False)
     #: Cumulative powers ``[I, R, R^2, ...]`` grown lazily by
     #: :meth:`level_vector`; each new level costs one matrix multiply
     #: instead of a fresh ``matrix_power`` (O(m^3 log n)) per call.
@@ -688,74 +960,8 @@ class QbdSolution:
     _r_powers_lock: threading.Lock = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.r_matrix.shape[0]
-        self._r_powers = [np.eye(n)]
+        self._r_powers = [np.eye(self.r_matrix.shape[0])]
         self._r_powers_lock = threading.Lock()
-        self.tail_spectral_radius = (
-            self.spectral_radius_hint
-            if self.spectral_radius_hint is not None
-            else spectral_radius(self.r_matrix)
-        )
-        if self.tail_spectral_radius >= 1.0:
-            raise UnstableSystemError(
-                "geometric tail is not summable: sp(R) >= 1 (the chain is "
-                "not positive recurrent at these rates)",
-                spectral_radius=self.tail_spectral_radius,
-            )
-        i_minus_r = np.eye(n) - self.r_matrix
-        self.condition_i_minus_r = check_conditioning(
-            i_minus_r, "I - R", spectral_radius_hint=self.tail_spectral_radius
-        )
-        self._i_minus_r_inv = np.linalg.inv(i_minus_r)
-
-    @classmethod
-    def from_batched(
-        cls,
-        boundary_pi: list,
-        pi_repeat: np.ndarray,
-        r_matrix: np.ndarray,
-        first_repeating_level: int,
-        *,
-        tail_spectral_radius: float,
-        condition_i_minus_r: float,
-        i_minus_r_inv: np.ndarray,
-        diagnostics: Optional[SolverDiagnostics] = None,
-        identity: Optional[np.ndarray] = None,
-    ) -> "QbdSolution":
-        """Assemble a solution from batched-solver components.
-
-        The sweep prefetch (:mod:`repro.perf.batched`) computes ``sp(R)``,
-        ``cond(I - R)`` and ``(I - R)^{-1}`` for a whole stack of chains at
-        once; this constructor installs them directly instead of re-deriving
-        each per point as ``__post_init__`` does.  The caller is responsible
-        for the conditioning gate (stacked points with
-        ``cond > CONDITION_WARN`` must go to the per-point path, which owns
-        the warn/raise semantics); the stability gate is re-asserted here so
-        a miscomputed hint can never produce a non-summable tail silently.
-        """
-        if tail_spectral_radius >= 1.0:
-            raise UnstableSystemError(
-                "geometric tail is not summable: sp(R) >= 1 (the chain is "
-                "not positive recurrent at these rates)",
-                spectral_radius=tail_spectral_radius,
-            )
-        solution = object.__new__(cls)
-        solution.boundary_pi = boundary_pi
-        solution.pi_repeat = pi_repeat
-        solution.r_matrix = r_matrix
-        solution.first_repeating_level = first_repeating_level
-        solution.diagnostics = diagnostics
-        solution.spectral_radius_hint = tail_spectral_radius
-        solution.tail_spectral_radius = tail_spectral_radius
-        solution.condition_i_minus_r = condition_i_minus_r
-        solution._i_minus_r_inv = i_minus_r_inv
-        # ``identity`` may be shared across a whole batch: power 0 is only
-        # ever read (``matrix_power`` appends fresh products, never mutates).
-        solution._r_powers = [
-            identity if identity is not None else np.eye(r_matrix.shape[0])
-        ]
-        solution._r_powers_lock = threading.Lock()
-        return solution
 
     def level_probability(self, n: int) -> float:
         """Return ``P(level == n)``."""
@@ -782,7 +988,7 @@ class QbdSolution:
 
     def phase_marginal(self) -> np.ndarray:
         """Return the marginal over repeating phases, ``sum_{n>=b} pi_n``."""
-        return self.pi_repeat @ self._i_minus_r_inv
+        return self.pi_repeat @ self.i_minus_r_inv
 
     def tail_mass(self) -> float:
         """Return ``P(level >= first repeating level)``."""
@@ -792,7 +998,7 @@ class QbdSolution:
         """Return ``E[level]``."""
         b = self.first_repeating_level
         total = sum(i * float(v.sum()) for i, v in enumerate(self.boundary_pi))
-        inv = self._i_minus_r_inv
+        inv = self.i_minus_r_inv
         r = self.r_matrix
         ones = np.ones(r.shape[0])
         # sum_{k>=0} (b + k) pi_b R^k = b pi_b (I-R)^{-1} + pi_b R (I-R)^{-2}
@@ -804,7 +1010,7 @@ class QbdSolution:
         """Return ``E[level^2]``."""
         b = self.first_repeating_level
         total = sum(i * i * float(v.sum()) for i, v in enumerate(self.boundary_pi))
-        inv = self._i_minus_r_inv
+        inv = self.i_minus_r_inv
         r = self.r_matrix
         ones = np.ones(r.shape[0])
         s0 = float(self.pi_repeat @ inv @ ones)
@@ -816,7 +1022,7 @@ class QbdSolution:
 
     def total_mass(self) -> float:
         """Return the total probability mass (should be 1)."""
-        return sum(float(v.sum()) for v in self.boundary_pi) + self.tail_mass()
+        return _total_mass(self.boundary_pi, self.pi_repeat, self.i_minus_r_inv)
 
 
 class QbdProcess:
@@ -910,146 +1116,47 @@ class QbdProcess:
 
     def _solve_inner(self) -> QbdSolution:
         start = time.perf_counter()
-        a1_full = _with_diagonal(self.a1[None], self.a0[None], self.a2[None])[0]
-        r, r_diag = solve_r_matrix_with_diagnostics(self.a0, a1_full, self.a2)
-        r_scale = _block_scale(self.a0, a1_full, self.a2)
+        stack = ChainStack.of([self])
+        r, r_diag = solve_r_matrix_with_diagnostics(self.a0, stack.a1_full[0], self.a2)
+        r_scale = _block_scale(stack.a0, stack.a1_full, stack.a2)
         r_residual = r_diag.residual if r_diag.residual is not None else 0.0
-
-        levels, residual, cond_est, bound, verdict = self._boundary_stage(
-            r, r_residual, r_scale
-        )
-        escalated = False
-        bound_before = None
-        spectral_hint = r_diag.spectral_radius
-        if verdict == "suspect":
-            candidate = self._escalate(r, a1_full, r_scale)
-            if candidate is not None and candidate[-1] < bound:
-                bound_before = bound
-                r, levels, residual, r_residual, cond_est, bound = candidate
-                verdict = trust_verdict(bound)
-                escalated = True
-                spectral_hint = None  # R moved; recompute sp(R) honestly
-
-        solution = QbdSolution(
-            levels[:-1], levels[-1], r, self.b, spectral_radius_hint=spectral_hint
-        )
-        return self._finalize(
-            solution,
-            r_diag,
-            boundary_residual=residual,
-            start=start,
-            condition_estimate=cond_est,
-            error_bound=bound,
-            trust=verdict,
-            escalated=escalated,
-            error_bound_before_escalation=bound_before,
-            residual=r_residual,
-        )
-
-    def _boundary_stage(
-        self,
-        r: np.ndarray,
-        r_residual: float,
-        r_scale: float,
-        refined: bool = False,
-    ) -> tuple[list, float, float, float, str]:
-        """Solve the finite boundary system for a given R, and assess trust.
-
-        Runs :func:`_solve_boundary` on a stack of one.  Returns ``(levels,
-        boundary_residual, condition_estimate, error_bound, verdict)``,
-        with ``levels`` the stationary vectors of levels ``0..b``.  With
-        ``refined=True`` the square solve runs through the compensated
-        :func:`~repro.robustness.trust.refined_solve` (the precision-
-        escalation rung).
-        """
-        pi, residual, ok, offsets, dims, _, square, scale = _solve_boundary(
-            [block[None] for block in self.boundary_local],
-            [block[None] for block in self.boundary_up],
-            [block[None] for block in self.boundary_down],
-            self.a0[None],
-            self.a1[None],
-            self.a2[None],
-            r[None],
-            refined,
-        )
-        balance = float(residual[0])
-        if not ok[0]:
-            raise ConvergenceError(
-                "QBD boundary solve failed to balance",
-                residual=balance,
-                tolerance=1e-7 * float(scale[0]),
-            )
-        # Reject materially negative probabilities before clipping can mask
-        # them (least-squares noise is fine; structural negatives are not).
-        pi = ensure_no_material_negatives(
-            pi[0], "QBD boundary solution", tol=1e-9, balance_residual=balance
-        )
-        cond_est, bound, verdicts = _assess_trust(
-            square, residual, scale, r[None], r_residual, r_scale
-        )
-        levels = [pi[offsets[i] : offsets[i] + dims[i]] for i in range(self.b + 1)]
-        return levels, balance, float(cond_est[0]), float(bound[0]), verdicts[0]
+        solved = _boundary_stage(stack, r[None], np.array([r_residual]), r_scale)
+        _raise_failed_gate(solved)
+        spectral = np.array([r_diag.spectral_radius])
+        if solved.verdicts[0] == "suspect":
+            escalated = self._escalate(stack, solved, r_scale)
+            if escalated is not None:
+                solved, spectral = escalated, None  # R moved: derive sp(R) afresh
+        solved = _gate_tail(solved, spectral)
+        _raise_failed_gate(solved)
+        return _assemble(solved, 0, r_diag.rungs, time.perf_counter() - start)
 
     def _escalate(
-        self, r: np.ndarray, a1_full: np.ndarray, r_scale: float
-    ) -> "Optional[tuple]":
+        self, stack: ChainStack, solved: _Solved, r_scale: np.ndarray
+    ) -> "Optional[_Solved]":
         """Precision-escalation rung for a ``suspect`` solve.
 
         One Newton polish of R (exact Kronecker linearization) plus a
         compensated extended-precision re-solve of the boundary system.
-        Returns ``(r, levels, boundary_residual, r_residual, cond, bound)``
-        or None when the rung failed; the caller accepts the candidate
-        only if its bound strictly shrinks, so escalation can never make
-        a result *less* trustworthy.
+        Returns the escalated stage, or None when the rung failed or its
+        bound does not strictly shrink (escalation never makes a result
+        *less* trustworthy).
         """
-        polished, r_residual, _ = newton_polish_r(r, self.a0, a1_full, self.a2)
+        polished, r_residual, _ = newton_polish_r(
+            solved.r[0], self.a0, stack.a1_full[0], self.a2
+        )
         try:
-            levels, residual, cond_est, bound, _ = self._boundary_stage(
-                polished, r_residual, r_scale, refined=True
+            candidate = _boundary_stage(
+                stack, polished[None], np.array([r_residual]), r_scale, refined=True
             )
         except (ReproError, np.linalg.LinAlgError):
             return None
+        if candidate.failures[0] is not None:
+            return None
         counter_inc("qbd.trust.escalations")
-        return polished, levels, residual, r_residual, cond_est, bound
-
-    def _finalize(
-        self,
-        solution: QbdSolution,
-        r_diag: SolverDiagnostics,
-        boundary_residual: Optional[float],
-        start: float,
-        condition_estimate: Optional[float] = None,
-        error_bound: Optional[float] = None,
-        trust: Optional[str] = None,
-        escalated: bool = False,
-        error_bound_before_escalation: Optional[float] = None,
-        residual: Optional[float] = None,
-    ) -> QbdSolution:
-        """Attach full diagnostics and run the normalization sanity check."""
-        solution.diagnostics = SolverDiagnostics(
-            method=r_diag.method,
-            rungs=r_diag.rungs,
-            residual=residual if residual is not None else r_diag.residual,
-            spectral_radius=solution.tail_spectral_radius,
-            condition_i_minus_r=solution.condition_i_minus_r,
-            boundary_residual=boundary_residual,
-            iterations=r_diag.iterations,
-            wall_time=time.perf_counter() - start,
-            condition_estimate=condition_estimate,
-            error_bound=error_bound,
-            trust=trust,
-            escalated=escalated,
-            error_bound_before_escalation=error_bound_before_escalation,
-        )
-        total = solution.total_mass()
-        if not 0.999999 < total < 1.000001:
-            raise NumericalError(
-                "QBD normalization failed",
-                total_mass=total,
-                spectral_radius=solution.tail_spectral_radius,
-                condition_number=solution.condition_i_minus_r,
-            )
-        return solution
+        if not candidate.error_bound[0] < solved.error_bound[0]:
+            return None
+        return candidate._replace(error_bound_before_escalation=solved.error_bound)
 
 
 def cached_solution(key: tuple, compute) -> QbdSolution:

@@ -63,7 +63,7 @@ from .errors import (
 )
 from .guards import (
     condition_number,
-    check_conditioning,
+    conditioning_outcome,
     ensure_finite_array,
     ensure_finite_scalar,
     ensure_no_material_negatives,
@@ -131,7 +131,7 @@ __all__ = [
     "atomic_write_json",
     "atomic_write_jsonl",
     "atomic_write_text",
-    "check_conditioning",
+    "conditioning_outcome",
     "condition_number",
     "ensure_finite_array",
     "ensure_finite_scalar",

@@ -9,7 +9,6 @@ These guards reject bad values at the door with :class:`ValidationError`
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Optional
 
 import numpy as np
@@ -24,7 +23,7 @@ __all__ = [
     "ensure_no_material_negatives",
     "condition_number",
     "spectral_radius",
-    "check_conditioning",
+    "conditioning_outcome",
 ]
 
 #: cond(I - R) above this warns NearBoundaryWarning (accuracy degrading).
@@ -123,33 +122,29 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
-def check_conditioning(
-    matrix: np.ndarray,
-    name: str,
-    warn_threshold: float = CONDITION_WARN,
-    error_threshold: float = CONDITION_ERROR,
-    spectral_radius_hint: Optional[float] = None,
-) -> float:
-    """Return ``cond(matrix)``; warn above ``warn_threshold``, raise above
-    ``error_threshold``.
+def conditioning_outcome(
+    cond: float, name: str, spectral_radius_hint: Optional[float] = None
+) -> "tuple[Optional[IllConditionedError], Optional[NearBoundaryWarning]]":
+    """``(error, warning)`` that a condition number ``cond`` of ``name``
+    calls for, each None when not called for.
 
-    Used on ``I - R`` before inverting it: as ``sp(R) -> 1`` near the
-    stability boundary, ``cond(I - R) ~ 1/(1 - sp(R))`` and every moment
-    derived from the inverse loses digits.
+    Used on ``I - R`` before relying on its inverse: as ``sp(R) -> 1``
+    near the stability boundary, ``cond(I - R) ~ 1/(1 - sp(R))`` and every
+    moment derived from the inverse loses digits.  Above
+    :data:`CONDITION_ERROR` (or non-finite) the error is an
+    :class:`IllConditionedError`; above :data:`CONDITION_WARN` the warning
+    is a :class:`NearBoundaryWarning`.
     """
-    cond = condition_number(matrix)
-    if not np.isfinite(cond) or cond > error_threshold:
-        raise IllConditionedError(
+    if not np.isfinite(cond) or cond > CONDITION_ERROR:
+        error = IllConditionedError(
             f"{name} is too ill-conditioned to invert reliably",
             condition_number=cond,
             spectral_radius=spectral_radius_hint,
         )
-    if cond > warn_threshold:
-        warnings.warn(
-            NearBoundaryWarning(
-                f"{name} is ill-conditioned (cond ~ {cond:.3g}); results near "
-                "the stability boundary carry reduced accuracy"
-            ),
-            stacklevel=2,
+        return error, None
+    if cond > CONDITION_WARN:
+        return None, NearBoundaryWarning(
+            f"{name} is ill-conditioned (cond ~ {cond:.3g}); results near "
+            "the stability boundary carry reduced accuracy"
         )
-    return cond
+    return None, None

@@ -17,7 +17,9 @@ import pytest
 
 import repro.contracts
 import repro.experiments.figures as figures_mod
+import repro.markov.qbd as qbd_mod
 import repro.perf.batched as batched_mod
+import repro.robustness.guards as guards_mod
 from repro.core import CsCqAnalysis, CsIdAnalysis
 from repro.experiments import figure4_panels
 from repro.experiments.figures import (
@@ -29,6 +31,7 @@ from repro.markov import QbdProcess
 from repro.orchestration import SweepRunner
 from repro.perf import sweep_cache
 from repro.perf.store import PERSISTED_NAMESPACES, ResultStore
+from repro.robustness import NearBoundaryWarning, ValidationError
 from repro.telemetry import registry
 from repro.workloads import COXIAN_LONG_CASES, EXPONENTIAL_CASES
 
@@ -327,6 +330,41 @@ class TestWarmStorePrefetch:
             np.testing.assert_array_equal(warm[label], cold[label])
 
 
+def _force_negatives(patch):
+    def negative(vec, name, **context):
+        raise ValidationError(f"{name} has materially negative entries")
+
+    patch.setattr(qbd_mod, "ensure_no_material_negatives", negative)
+
+
+def _force_unstable_tail(patch):
+    real = qbd_mod._gate_tail
+
+    def unstable(solved, spectral_radius=None, normalization=True):
+        return real(solved, np.ones(len(solved.r)), normalization)
+
+    patch.setattr(qbd_mod, "_gate_tail", unstable)
+
+
+def _force_warn_band(patch):
+    patch.setattr(guards_mod, "CONDITION_WARN", 0.0)
+
+
+def _force_lost_mass(patch):
+    patch.setattr(qbd_mod, "_total_mass", lambda *args: 2.0)
+
+
+def _force_suspect(patch):
+    patch.setattr(qbd_mod, "trust_verdicts", lambda bounds: ["suspect"] * len(bounds))
+
+
+def _break_stack(patch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular stack")
+
+    patch.setattr(batched_mod, "solve_r_matrix_batched", broken)
+
+
 class TestRejectedStacks:
     """Points the stack does not accept fall through to the per-point
     ladder, which produces the same values."""
@@ -334,30 +372,61 @@ class TestRejectedStacks:
     case = EXPONENTIAL_CASES[1]
     pairs = [(rho_s, 0.5) for rho_s in _RHO_S_GRID]
 
-    def _assert_unseeded_and_unchanged(self, monkeypatch):
+    def _point_values(self):
+        return [
+            repr(_policy_point_values(self.case.params(*pair), "short")[0])
+            for pair in self.pairs
+        ]
+
+    def _assert_unseeded_and_unchanged(self, monkeypatch, force):
+        # The rejection is forced only while the prefetch runs: no slice
+        # is seeded, the prefetch warns nothing, and the (unforced)
+        # per-point path then gives the reference values.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with monkeypatch.context() as patch:
-                _prefetch_off(patch)
-                with sweep_cache():
-                    reference = _sweep_policy_values(self.case, self.pairs, "short")
+            with sweep_cache():
+                reference = self._point_values()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with sweep_cache() as cache:
-                batched_mod.prefetch_sweep_solutions(self.case, self.pairs, "short")
+                with monkeypatch.context() as patch:
+                    force(patch)
+                    batched_mod.prefetch_sweep_solutions(self.case, self.pairs, "short")
+                assert caught == []
                 assert not cache.values("analysis-solution")
-                values = _sweep_policy_values(self.case, self.pairs, "short")
-        for label in _POLICY_LABELS:
-            np.testing.assert_array_equal(values[label], reference[label])
+                values = self._point_values()
+        assert values == reference
 
-    def test_gate_rejection_leaves_points_unseeded(self, monkeypatch):
-        monkeypatch.setattr(batched_mod, "CONDITION_WARN", 0.0)
-        self._assert_unseeded_and_unchanged(monkeypatch)
+    @pytest.mark.parametrize(
+        "force",
+        [
+            _force_negatives,
+            _force_unstable_tail,
+            _force_warn_band,
+            _force_lost_mass,
+            _force_suspect,
+        ],
+        ids=["negatives", "sp-r", "cond-warn-band", "mass", "not-trusted"],
+    )
+    def test_gate_rejection_leaves_points_unseeded(self, force, monkeypatch):
+        self._assert_unseeded_and_unchanged(monkeypatch, force)
 
     def test_lapack_error_leaves_stack_unseeded(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular stack")
+        self._assert_unseeded_and_unchanged(monkeypatch, _break_stack)
 
-        monkeypatch.setattr(batched_mod, "solve_r_matrix_batched", broken)
-        self._assert_unseeded_and_unchanged(monkeypatch)
+    def test_warn_band_point_warns_once(self):
+        # cond(I - R) ~ 4e8 on this CS-CQ chain: inside the warn band, so
+        # the prefetch leaves it to the per-point solve, which warns once.
+        case = COXIAN_LONG_CASES[0]
+        pair = ((1 - 1e-8) * 1.9, 0.1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with sweep_cache():
+                batched_mod.prefetch_sweep_solutions(case, [pair], "short")
+                assert caught == []
+                _policy_point_values(case.params(*pair), "short")
+        near = [w for w in caught if issubclass(w.category, NearBoundaryWarning)]
+        assert [str(w.message)[:30] for w in near] == ["I - R is ill-conditioned (cond"]
 
 
 #: Figure-4 quick grid, plus a load at 99% of the CS-CQ boundary.

@@ -10,8 +10,8 @@ from repro.robustness import (
     IllConditionedError,
     NearBoundaryWarning,
     ValidationError,
-    check_conditioning,
     condition_number,
+    conditioning_outcome,
     ensure_finite_array,
     ensure_finite_scalar,
     ensure_no_material_negatives,
@@ -88,20 +88,22 @@ class TestConditioning:
         assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)
 
     def test_warns_between_thresholds(self):
-        m = np.diag([1.0, 1e-9])  # cond 1e9
-        with pytest.warns(NearBoundaryWarning):
-            check_conditioning(m, "M")
+        cond = condition_number(np.diag([1.0, 1e-9]))  # cond 1e9
+        error, warning = conditioning_outcome(cond, "M")
+        assert error is None
+        assert isinstance(warning, NearBoundaryWarning)
 
     def test_raises_above_error_threshold(self):
-        m = np.diag([1.0, 1e-15])
-        with pytest.raises(IllConditionedError) as info:
-            check_conditioning(m, "M", spectral_radius_hint=0.9999)
-        assert info.value.condition_number > 1e13
-        assert info.value.spectral_radius == pytest.approx(0.9999)
+        cond = condition_number(np.diag([1.0, 1e-15]))
+        error, warning = conditioning_outcome(cond, "M", spectral_radius_hint=0.9999)
+        assert isinstance(error, IllConditionedError) and warning is None
+        assert error.condition_number > 1e13
+        assert error.spectral_radius == pytest.approx(0.9999)
 
     def test_clean_matrix_silent(self):
-        cond = check_conditioning(np.eye(2), "M")
+        cond = condition_number(np.eye(2))
         assert cond == pytest.approx(1.0)
+        assert conditioning_outcome(cond, "M") == (None, None)
 
 
 class TestWiring:

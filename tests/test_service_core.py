@@ -1,16 +1,14 @@
 """QueryService behavior: admission, deadlines, breaker, cache, manifest."""
 
 import asyncio
-import functools
 import json
 
 import pytest
 
 import repro.contracts
-import repro.service.service as service_module
 from repro.contracts import contracts_for
 from repro.core import CsCqAnalysis, CsIdAnalysis
-from repro.orchestration import DeadlineBudget, inject_faults
+from repro.orchestration import inject_faults
 from repro.perf import SweepCache
 from repro.robustness import CircuitBreaker, ServiceOverloadError
 from repro.service import QueryService, ScenarioQuery
@@ -100,23 +98,6 @@ class TestPhaseTypeShorts:
         assert all(result.passed for _, results in evaluated for result in results)
         assert names[CsCqAnalysis] == {spec.name for spec in contracts_for("analysis")}
         assert names[CsIdAnalysis] == {"littles-law-short", "littles-law-long"}
-
-
-@pytest.fixture
-def frozen_budget_clock(monkeypatch):
-    """Query budgets on a clock that stands still.
-
-    Which rungs a tiny deadline reaches then depends on the deadline
-    alone, not on how long thread hand-offs take on a loaded machine:
-    the exact rung is skipped (budget below ``EXACT_MIN_BUDGET``), the
-    worker rung is abandoned or answers within its real-time timeout,
-    and the closed-form floor always still has budget.
-    """
-    monkeypatch.setattr(
-        service_module,
-        "DeadlineBudget",
-        functools.partial(DeadlineBudget, clock=lambda: 0.0),
-    )
 
 
 @pytest.mark.usefixtures("frozen_budget_clock")
