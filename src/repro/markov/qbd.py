@@ -687,9 +687,7 @@ class ChainStack(NamedTuple):
             [stacked([getattr(p, name)[i] for p in processes]) for i in levels]
             for name in ("boundary_local", "boundary_up", "boundary_down")
         ]
-        a0, a1, a2 = (
-            stacked([getattr(p, name) for p in processes]) for name in ("a0", "a1", "a2")
-        )
+        a0, a1, a2 = (stacked([getattr(p, n) for p in processes]) for n in ("a0", "a1", "a2"))
         return cls(*boundary, a0, a1, a2, _with_diagonal(a1, a0, a2))
 
     def take(self, idx: np.ndarray) -> "ChainStack":
@@ -801,10 +799,7 @@ def _gate_tail(
         mass = _total_mass(levels[:-1], levels[-1], inverse)
         if not 0.999999 < mass < 1.000001:
             failures[j] = NumericalError(
-                "QBD normalization failed",
-                total_mass=mass,
-                spectral_radius=sp,
-                condition_number=cond,
+                "QBD normalization failed", total_mass=mass, spectral_radius=sp, condition_number=cond
             )
     return solved._replace(
         failures=failures, warnings=near_boundary,
@@ -874,17 +869,10 @@ def trusted_rung1_solutions(
     solved = _gate_tail(_boundary_stage(sub, r[acc], residual[acc], r_scale))
     wall_time = (time.perf_counter() - start) / acc.size
     for j, i in enumerate(acc.tolist()):
-        if solved.failures[j] is not None or solved.warnings[j] is not None:
-            continue
-        if solved.verdicts[j] != "trusted":
-            continue
-        attempt = RungAttempt(
-            "logarithmic-reduction",
-            accepted=True,
-            residual=float(residual[i]),
-            iterations=int(iterations[i]),
-        )
-        solutions[i] = _assemble(solved, j, (attempt,), wall_time)
+        clean = solved.failures[j] is None and solved.warnings[j] is None
+        if clean and solved.verdicts[j] == "trusted":
+            attempt = RungAttempt("logarithmic-reduction", True, float(residual[i]), int(iterations[i]))
+            solutions[i] = _assemble(solved, j, (attempt,), wall_time)
     solved_count = sum(solution is not None for solution in solutions)
     if solved_count:
         counter_inc("qbd.solves", solved_count)
@@ -1142,9 +1130,7 @@ class QbdProcess:
         bound does not strictly shrink (escalation never makes a result
         *less* trustworthy).
         """
-        polished, r_residual, _ = newton_polish_r(
-            solved.r[0], self.a0, stack.a1_full[0], self.a2
-        )
+        polished, r_residual, _ = newton_polish_r(solved.r[0], self.a0, stack.a1_full[0], self.a2)
         try:
             candidate = _boundary_stage(
                 stack, polished[None], np.array([r_residual]), r_scale, refined=True

@@ -39,7 +39,6 @@ imported *by* the distribution and solver layers.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import struct
@@ -86,23 +85,6 @@ def register_codec(
     _DECODERS[tag] = from_state
 
 
-def _register_dataclass(tag: str, cls: type, tuples: tuple = ()) -> None:
-    """Register a dataclass by its fields, in declaration order.
-
-    ``tuples`` names the fields stored as tuples.  A payload written
-    before a field existed decodes to that field's default.
-    """
-    names = [f.name for f in dataclasses.fields(cls)]
-
-    def state(obj: Any) -> dict:
-        return {n: tuple(getattr(obj, n)) if n in tuples else getattr(obj, n) for n in names}
-
-    def restore(fields: dict) -> Any:
-        return cls(**{n: tuple(v) if n in tuples else v for n, v in fields.items()})
-
-    register_codec(tag, cls, state, restore)
-
-
 def _ensure_domain_registry() -> None:
     """Register the domain classes the five cache namespaces produce."""
     global _DOMAIN_REGISTERED
@@ -144,13 +126,69 @@ def _ensure_domain_registry() -> None:
         lambda d: {"alpha": d.alpha, "T": d.T},
         lambda s: PhaseType(s["alpha"], s["T"]),
     )
-    _register_dataclass("rung-attempt", RungAttempt)
-    _register_dataclass("solver-diagnostics", SolverDiagnostics, tuples=("rungs", "notes"))
-    # Decoding (restore_solution) re-derives (I - R)^{-1} and cond(I - R)
-    # from the stored R and re-runs a solve's sp(R) and cond gates:
-    # deterministic arithmetic on bit-identical inputs, so the restored
-    # object matches the original attribute for attribute.  The payload
-    # keeps sp(R) under its historical key.
+    register_codec(
+        "rung-attempt",
+        RungAttempt,
+        lambda a: {
+            "name": a.name,
+            "accepted": a.accepted,
+            "residual": a.residual,
+            "iterations": a.iterations,
+            "error": a.error,
+        },
+        lambda s: RungAttempt(
+            name=s["name"],
+            accepted=s["accepted"],
+            residual=s["residual"],
+            iterations=s["iterations"],
+            error=s["error"],
+        ),
+    )
+    register_codec(
+        "solver-diagnostics",
+        SolverDiagnostics,
+        lambda d: {
+            "method": d.method,
+            "rungs": tuple(d.rungs),
+            "residual": d.residual,
+            "spectral_radius": d.spectral_radius,
+            "condition_i_minus_r": d.condition_i_minus_r,
+            "boundary_residual": d.boundary_residual,
+            "iterations": d.iterations,
+            "wall_time": d.wall_time,
+            "cache_hit": d.cache_hit,
+            "degraded": d.degraded,
+            "notes": tuple(d.notes),
+            "condition_estimate": d.condition_estimate,
+            "error_bound": d.error_bound,
+            "trust": d.trust,
+            "escalated": d.escalated,
+            "error_bound_before_escalation": d.error_bound_before_escalation,
+        },
+        lambda s: SolverDiagnostics(
+            method=s["method"],
+            rungs=tuple(s["rungs"]),
+            residual=s["residual"],
+            spectral_radius=s["spectral_radius"],
+            condition_i_minus_r=s["condition_i_minus_r"],
+            boundary_residual=s["boundary_residual"],
+            iterations=s["iterations"],
+            wall_time=s["wall_time"],
+            cache_hit=s["cache_hit"],
+            degraded=s["degraded"],
+            notes=tuple(s["notes"]),
+            # .get(): payloads persisted before the trust layer lack these.
+            condition_estimate=s.get("condition_estimate"),
+            error_bound=s.get("error_bound"),
+            trust=s.get("trust"),
+            escalated=s.get("escalated", False),
+            error_bound_before_escalation=s.get("error_bound_before_escalation"),
+        ),
+    )
+    # restore_solution re-derives (I - R)^{-1} and cond(I - R) from the
+    # stored R and re-runs the sp(R) and cond gates (sp(R) keeps its
+    # historical payload key): deterministic arithmetic on bit-identical
+    # inputs, so the restored object matches the original attribute-wise.
     register_codec(
         "qbd-solution",
         QbdSolution,

@@ -136,12 +136,11 @@ def conditioning_outcome(
     is a :class:`NearBoundaryWarning`.
     """
     if not np.isfinite(cond) or cond > CONDITION_ERROR:
-        error = IllConditionedError(
+        return IllConditionedError(
             f"{name} is too ill-conditioned to invert reliably",
             condition_number=cond,
             spectral_radius=spectral_radius_hint,
-        )
-        return error, None
+        ), None
     if cond > CONDITION_WARN:
         return None, NearBoundaryWarning(
             f"{name} is ill-conditioned (cond ~ {cond:.3g}); results near "

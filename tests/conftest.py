@@ -7,31 +7,6 @@ import pytest
 
 
 @pytest.fixture
-def frozen_budget_clock(monkeypatch):
-    """Query-service deadline budgets on a clock that stands still.
-
-    Which rungs a query reaches then depends on its deadline and its
-    faults alone, not on how long thread hand-offs take on a loaded
-    machine: a rung is skipped only when its deadline is below the
-    rung's minimum, a worker rung is abandoned or answers within its
-    real-time timeout, and the closed-form floor always still has
-    budget.  Answers report ``elapsed`` on this clock (0), so deadline
-    overruns in real time are left to the CI ``service-smoke`` job's
-    ``repro serve --check`` step.
-    """
-    import functools
-
-    import repro.service.service as service_module
-    from repro.orchestration import DeadlineBudget
-
-    monkeypatch.setattr(
-        service_module,
-        "DeadlineBudget",
-        functools.partial(DeadlineBudget, clock=lambda: 0.0),
-    )
-
-
-@pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic RNG for sampling-based tests."""
     return np.random.default_rng(20030703)  # ICDCS 2003 vintage

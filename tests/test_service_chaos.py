@@ -65,11 +65,7 @@ def _chaos_batch():
 
 
 @pytest.fixture()
-def chaos_run(tmp_path, frozen_budget_clock):
-    # On the frozen budget clock a hang-* query's exact rung is still
-    # abandoned after its real-time slice, but the closed-form floor never
-    # finds the budget spent by a coordinator that woke late on a loaded
-    # machine, which would reject the query.
+def chaos_run(tmp_path):
     registry().reset()
     reset_crash_counts()
     queries = _chaos_batch()

@@ -1,14 +1,16 @@
 """QueryService behavior: admission, deadlines, breaker, cache, manifest."""
 
 import asyncio
+import functools
 import json
 
 import pytest
 
 import repro.contracts
+import repro.service.service as service_module
 from repro.contracts import contracts_for
 from repro.core import CsCqAnalysis, CsIdAnalysis
-from repro.orchestration import inject_faults
+from repro.orchestration import DeadlineBudget, inject_faults
 from repro.perf import SweepCache
 from repro.robustness import CircuitBreaker, ServiceOverloadError
 from repro.service import QueryService, ScenarioQuery
@@ -98,6 +100,66 @@ class TestPhaseTypeShorts:
         assert all(result.passed for _, results in evaluated for result in results)
         assert names[CsCqAnalysis] == {spec.name for spec in contracts_for("analysis")}
         assert names[CsIdAnalysis] == {"littles-law-short", "littles-law-long"}
+
+
+@pytest.fixture
+def frozen_budget_clock(monkeypatch):
+    """Query budgets on a clock that stands still.
+
+    Which rungs a tiny deadline reaches then depends on the deadline
+    alone, not on how long thread hand-offs take on a loaded machine:
+    the exact rung is skipped (budget below ``EXACT_MIN_BUDGET``), the
+    worker rung is abandoned or answers within its real-time timeout,
+    and the closed-form floor always still has budget.
+    """
+    monkeypatch.setattr(
+        service_module,
+        "DeadlineBudget",
+        functools.partial(DeadlineBudget, clock=lambda: 0.0),
+    )
+
+
+class TestLateCoordinator:
+    """The coordinator resumes only after the budget ran out.
+
+    The exact rung moves the budget clock to ``overrun`` seconds past the
+    deadline and fails, as an abandoned rung whose timeout fired late on
+    a loaded machine would leave it.  The bounds are already computed, so
+    the ladder answers from them while the overrun is inside the answer
+    contract's slack, and rejects the query beyond it.
+    """
+
+    def _answer_after(self, monkeypatch, overrun):
+        now = [0.0]
+        monkeypatch.setattr(
+            service_module,
+            "DeadlineBudget",
+            functools.partial(DeadlineBudget, clock=lambda: now[0]),
+        )
+
+        def late_exact(query):
+            now[0] = 0.8 + overrun
+            raise RuntimeError("worker came back late")
+
+        monkeypatch.setattr(service_module.F, "exact_rung", late_exact)
+        with QueryService(workers=2, name="t") as service:
+            (answer,) = service.run_batch([_query(deadline=0.8)])
+        return answer
+
+    def test_overrun_inside_the_slack_answers_from_the_bound(self, monkeypatch):
+        answer = self._answer_after(monkeypatch, overrun=0.008)
+        assert answer.status == "answered"
+        assert answer.fidelity == "bound"
+        assert answer.elapsed == pytest.approx(0.808)
+        assert [a["outcome"] for a in answer.attempts] == [
+            "failed", "skipped", "skipped", "accepted"
+        ]
+
+    def test_overrun_beyond_the_slack_is_rejected(self, monkeypatch):
+        answer = self._answer_after(monkeypatch, overrun=0.3)
+        assert answer.status == "rejected"
+        assert answer.error["type"] == "DeadlineExceededError"
+        assert answer.attempts[-1]["outcome"] == "skipped"
 
 
 @pytest.mark.usefixtures("frozen_budget_clock")
