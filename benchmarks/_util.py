@@ -23,35 +23,3 @@ def save_result(name: str, text: str) -> None:
     """
     atomic_write_text(RESULTS_DIR / f"{name}.txt", text + "\n")
     print(f"\n{text}\n[saved to results/{name}.txt]")
-
-
-def record_bench(name: str, wall_time: float, extra: "dict | None" = None) -> None:
-    """Persist a pytest-benchmark measurement as ``results/BENCH_<name>.json``.
-
-    Bridges the pytest-benchmark scripts into the same trajectory format
-    as ``python -m repro bench`` (see :mod:`repro.perf.bench`): wall time,
-    machine calibration, and any benchmark-specific ``extra`` payload —
-    e.g. the pre-PR baseline a speedup is measured against.
-    """
-    from repro.perf.bench import calibration_time, write_bench_json
-
-    # The pytest modules pass their own module-ish names ("bench_figure4");
-    # strip the prefix so the record lands under the same canonical name
-    # the ``python -m repro bench`` harness and the regression gate use
-    # ("BENCH_figure4.json", not a stale "BENCH_bench_figure4.json" twin).
-    if name.startswith("bench_"):
-        name = name[len("bench_") :]
-    payload = {
-        "name": name,
-        "quick": False,
-        "wall_time": float(wall_time),
-        "wall_times": [float(wall_time)],
-        "repeat": 1,
-        "cache": None,
-        "solver": None,
-        "calibration": calibration_time(),
-    }
-    if extra:
-        payload.update(extra)
-    path = write_bench_json(payload, RESULTS_DIR)
-    print(f"[bench recorded to results/{path.name}]")

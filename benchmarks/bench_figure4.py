@@ -8,21 +8,16 @@ case (a), dropping to ~2.5%/1% in case (b) and growing (but staying
 dominated by the shorts' benefit) in case (c).
 """
 
-import time
-
 import numpy as np
 
 from repro.experiments import figure4_panels, format_panel
 from repro.perf import sweep_cache
 
-from _util import record_bench, save_result
+from _util import save_result
 
 
 def bench_figure4(benchmark):
-    start = time.perf_counter()
     panels = benchmark.pedantic(figure4_panels, rounds=1, iterations=1)
-    wall = time.perf_counter() - start
-    record_bench("bench_figure4", wall)
     assert len(panels) == 6
 
     shorts_a, longs_a = panels[0], panels[1]
@@ -54,7 +49,6 @@ def bench_figure4_higher_rho_l(benchmark):
     # per-figure scopes join it, so the repeated rho_l = 0.5 comparison
     # sweep is served from the cache instead of re-solved.
     with sweep_cache():
-        start = time.perf_counter()
         panels = benchmark.pedantic(
             lambda: figure4_panels(rho_l=0.8, rho_s_values=[0.4, 0.8, 0.99, 1.1]),
             rounds=1,
@@ -85,8 +79,6 @@ def bench_figure4_higher_rho_l(benchmark):
             longs_a.by_label("Dedicated").y, 0.8
         )
         assert penalty_high < penalty_half
-        wall = time.perf_counter() - start
-    record_bench("bench_figure4_higher_rho_l", wall)
 
     save_result(
         "figure4_rho_l_08", "\n\n".join(format_panel(p, chart=True) for p in panels[:2])

@@ -7,7 +7,6 @@ simulate   Run one discrete-event simulation.
 figure     Regenerate a paper figure (3, 4, 5 or 6) as text tables.
 stability  Print the Theorem 1 stability boundaries.
 validate   Run the Section 4 limiting-case validation.
-bench      Time the hot-path benchmarks; record/compare BENCH_<name>.json.
 check      Cross-method consistency oracle; write results/CHECK_<name>.json.
 trust      Summarize numerical-trust verdicts recorded in a results dir.
 trace      Render/inspect/diff a TRACE_<name>.jsonl produced with --trace.
@@ -19,8 +18,8 @@ Tracing: pass ``--trace`` to ``figure`` or ``check`` (or set
 it is exported as ``TRACE_<name>.jsonl`` next to the checkpoint journal
 (see docs/observability.md).
 
-Persistent store: pass ``--store`` to ``figure``, ``bench``, ``check``
-or ``serve`` (or set ``REPRO_STORE=1`` / ``REPRO_STORE=<dir>`` for any
+Persistent store: pass ``--store`` to ``figure``, ``check`` or
+``serve`` (or set ``REPRO_STORE=1`` / ``REPRO_STORE=<dir>`` for any
 command) to persist cached solver results across runs under
 ``results/store/``; see docs/performance.md and docs/robustness.md §9.
 """
@@ -550,86 +549,6 @@ def cmd_validate(_args) -> int:
     return 1 if failures else 0
 
 
-def cmd_bench(args) -> int:
-    from .perf import bench as perf_bench
-
-    names = args.names or sorted(perf_bench.BENCHMARKS)
-    unknown = [n for n in names if n not in perf_bench.BENCHMARKS]
-    if unknown:
-        print(
-            f"unknown benchmark(s): {', '.join(unknown)}; "
-            f"available: {', '.join(sorted(perf_bench.BENCHMARKS))}",
-            file=sys.stderr,
-        )
-        return 2
-    failures = 0
-    if args.compare is not None:
-        # Unparseable baseline files are unpairable by construction; fail
-        # before timing anything rather than silently gating against a
-        # subset of the committed records.
-        _, unparseable = perf_bench.discover_records(args.compare)
-        for path in unparseable:
-            print(
-                f"unpairable baseline record {path} (expected "
-                "BENCH_<name>[.quick].json)",
-                file=sys.stderr,
-            )
-            failures += 1
-    for name in names:
-        record = perf_bench.run_benchmark(name, quick=args.quick, repeat=args.repeat)
-        payload = record.as_dict()
-        baseline = None
-        if args.compare is not None:
-            baseline = perf_bench.load_baseline(name, args.quick, args.compare)
-            if baseline is not None:
-                # Fold the trajectory into the record itself, so the JSON
-                # is self-contained: what was measured, against what, and
-                # the resulting speedup.
-                payload["baseline"] = {
-                    "wall_time": baseline["wall_time"],
-                    "calibration": baseline.get("calibration"),
-                    "recorded": baseline.get("recorded"),
-                    "source": str(args.compare),
-                }
-                payload["speedup_vs_baseline"] = (
-                    baseline["wall_time"] / record.wall_time
-                )
-                if record.calibration and baseline.get("calibration"):
-                    # Machine-speed-corrected speedup, same normalization
-                    # as the regression gate (see compare_records).
-                    payload["speedup_vs_baseline_normalized"] = (
-                        baseline["wall_time"] / baseline["calibration"]
-                    ) / (record.wall_time / record.calibration)
-        path = perf_bench.write_bench_json(payload, args.out)
-        cache = payload["cache"] or {}
-        print(
-            f"[bench {name}{' --quick' if args.quick else ''}] "
-            f"wall {record.wall_time:.4g}s (best of {args.repeat}), "
-            f"cache hit rate {cache.get('hit_rate', 0.0):.0%} "
-            f"({cache.get('hits', 0)} hits / {cache.get('misses', 0)} misses)"
-            f" -> {path}"
-        )
-        if args.compare is not None:
-            if baseline is None:
-                # A missing baseline is a gate failure, not a skip: a
-                # renamed or never-committed anchor would otherwise turn
-                # the regression gate off silently.
-                print(
-                    f"  UNPAIRED: no baseline for {name} in {args.compare} "
-                    f"(expected {perf_bench.record_filename(name, args.quick)}"
-                    "); commit the new record as its baseline, or pass "
-                    "--allow-missing-baseline to bootstrap"
-                )
-                failures += not args.allow_missing_baseline
-                continue
-            ok, message = perf_bench.compare_records(
-                payload, baseline, tolerance=args.tolerance
-            )
-            print(f"  {'ok' if ok else 'REGRESSION'}: {message}")
-            failures += not ok
-    return 1 if failures else 0
-
-
 def cmd_serve(args) -> int:
     import json
     from pathlib import Path
@@ -952,48 +871,6 @@ def main(argv: "list[str] | None" = None) -> int:
 
     p_val = sub.add_parser("validate", help="limiting-case validation")
     p_val.set_defaults(func=cmd_validate)
-
-    p_bench = sub.add_parser(
-        "bench", help="time the hot paths; write results/BENCH_<name>.json"
-    )
-    p_bench.add_argument(
-        "names",
-        nargs="*",
-        help="benchmarks to run (default: all; see docs/performance.md)",
-    )
-    p_bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced grids/job counts (the CI smoke variant; separate "
-        "BENCH_<name>.quick.json records)",
-    )
-    p_bench.add_argument(
-        "--repeat", type=int, default=3, help="timing repeats; best is recorded"
-    )
-    p_bench.add_argument(
-        "--out", default="results", help="directory for BENCH_<name>.json output"
-    )
-    p_bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="DIR",
-        help="baseline directory (e.g. benchmarks/baselines); exit 1 on a "
-        "regression beyond --tolerance",
-    )
-    p_bench.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="relative regression tolerance for --compare (default 0.30)",
-    )
-    p_bench.add_argument(
-        "--allow-missing-baseline",
-        action="store_true",
-        help="with --compare, treat a missing baseline record as a note "
-        "instead of a gate failure (for bootstrapping new benchmarks)",
-    )
-    _add_store_flag(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
 
     p_serve = sub.add_parser(
         "serve",

@@ -169,6 +169,10 @@ def _policy_point_values(
     diagnostics = {}
     for source in (captured, captured_diag):
         for label, analysis in source.items():
+            # A policy _safe mapped to NaN has no solve to report; asking
+            # for its diagnostics would re-run the solve that failed.
+            if np.isnan(values[label]):
+                continue
             diag = getattr(analysis, "solver_diagnostics", None)
             if diag is not None:
                 diagnostics.setdefault(label, diag.as_dict())

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterator
 
 # Re-exported for backward compatibility: the atomic writer grew more
-# users (manifests, bench records, oracle reports, telemetry traces) and
+# users (manifests, oracle reports, telemetry traces) and
 # now lives in repro.robustness.atomic_write.
 from ..robustness.atomic_write import (
     atomic_write_jsonl,

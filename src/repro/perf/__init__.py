@@ -1,6 +1,7 @@
-"""Hot-path performance layer: caching (memory + disk) and benchmarking.
+"""Hot-path performance layer: caching, in memory and on disk.
 
-``repro.perf`` makes speed a tracked property of the reproduction:
+``repro.perf`` holds what makes the sweeps fast; ``perfbench/`` at the
+repository root measures it, end to end (see docs/performance.md):
 
 * :mod:`repro.perf.cache` — the sweep-scoped memoization cache shared by
   the busy-period, phase-type-fitting and QBD layers (correctness-
@@ -11,16 +12,12 @@
   recomputed, never served.
 * :mod:`repro.perf.codec` — the deterministic binary codec the store
   uses (bit-exact floats, closed type registry, no pickle).
-* :mod:`repro.perf.bench` — the ``python -m repro bench`` harness that
-  times the figure sweeps and the simulation engine, records
-  ``results/BENCH_<name>.json`` trajectories (wall time, cache hit
-  rates, solver-ladder tiers) and gates CI on regressions against the
-  committed baselines in ``benchmarks/baselines/``.
+* :mod:`repro.perf.batched` — the sweep prefetch that solves a row's
+  QBDs in stacked calls and seeds the solutions into the cache.
 
 Import note: this package must stay import-light (no numpy/scipy at
 module level) because the distributions and solver layers import it;
-:mod:`repro.perf.bench` pulls in the experiment stack lazily, and the
-codec/store resolve numpy and the domain classes inside functions.
+the codec/store resolve numpy and the domain classes inside functions.
 """
 
 from .cache import (

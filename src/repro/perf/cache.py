@@ -13,8 +13,8 @@ Design rules
 * **Opt-in and scoped.**  Nothing is cached unless a :func:`sweep_cache`
   scope is active; outside a scope every ``cached(...)`` call computes
   directly.  The experiment sweeps (:mod:`repro.experiments.figures`,
-  :mod:`repro.experiments.validation`), the orchestration workers and the
-  bench harness each open a scope around one sweep; the cache dies with
+  :mod:`repro.experiments.validation`) and the orchestration workers
+  each open a scope around one sweep; the cache dies with
   the scope, so long-lived processes cannot accumulate stale state.
 * **Correctness-transparent.**  Keys capture *every* input of the
   computation (exact float tuples, raw matrix bytes — never rounded or
@@ -22,7 +22,8 @@ Design rules
   path would have computed.  ``tests/test_perf_cache.py`` pins this
   property across the figure-4/5/6 parameter grids.
 * **Observable.**  Per-namespace hit/miss/evicted counters are kept on
-  the scope (:meth:`SweepCache.stats`) and surfaced in ``BENCH_*.json``;
+  the scope (:meth:`SweepCache.stats`) and surfaced as ``cache.*``
+  counters in the run manifest's metrics;
   QBD-level hits are additionally flagged on
   :class:`~repro.robustness.SolverDiagnostics` (``cache_hit=True``) so
   the PR 1 robustness layer stays observable under caching.
@@ -261,8 +262,8 @@ class SweepCache:
         return found
 
     def values(self, namespace: str) -> "list[Any]":
-        """All values memoized under ``namespace`` (used by the bench
-        harness to summarize solver diagnostics across a sweep)."""
+        """All values memoized under ``namespace`` (tests use it to
+        inspect the solutions a sweep cached)."""
         with self._lock:
             return [v for (ns, _), v in self._entries.items() if ns == namespace]
 
@@ -367,7 +368,7 @@ def sweep_cache(
 ) -> Iterator[SweepCache]:
     """Activate a memoization scope for the enclosed sweep.
 
-    Nested scopes share the outermost cache (so a bench harness wrapping
+    Nested scopes share the outermost cache (so a caller wrapping
     several figure sweeps deduplicates across them, and per-figure scopes
     stay no-ops inside it); the cache is discarded when the outermost
     scope exits.

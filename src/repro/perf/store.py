@@ -2,7 +2,7 @@
 
 :class:`ResultStore` persists the memo-cache namespaces (``busy-moments``,
 ``ph-fit``, ``analysis-solution`` and the service's ``service-answer``
-replay entries) across processes, so a repeated ``figure`` / ``bench`` /
+replay entries) across processes, so a repeated ``figure`` /
 ``check`` / ``serve`` run recomputes nothing.  A store that survives
 processes is above all a *durability* problem, and every design choice
 here is about failing safe:

@@ -30,8 +30,8 @@ makes every failure along that path *typed and observable*:
     time), attached to every :class:`~repro.markov.qbd.QbdSolution`.
 ``atomic_write``
     Crash-safe tmp-file+``os.replace`` writers shared by every
-    ``results/`` artifact producer (journals, manifests, bench records,
-    oracle reports, telemetry traces).
+    ``results/`` artifact producer (journals, manifests, oracle reports,
+    telemetry traces).
 """
 
 from .atomic_write import (

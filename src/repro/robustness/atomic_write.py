@@ -1,7 +1,7 @@
 """Atomic file writers shared by every ``results/`` producer.
 
-Checkpoint journals, run manifests, bench records, oracle reports, and
-telemetry traces all share the same durability requirement: the file on
+Checkpoint journals, run manifests, oracle reports, and telemetry
+traces all share the same durability requirement: the file on
 disk must always be a complete, parseable artifact — a crash or SIGKILL
 mid-write loses at most the write in flight, never the file.  The recipe
 is the classic tmp-file-in-same-directory + fsync + ``os.replace``; this

@@ -248,36 +248,20 @@ class QueryService:
             return await future
         return await asyncio.wait_for(asyncio.shield(future), timeout)
 
-    def _solve_exact(
-        self, query: ScenarioQuery, label: str, budget: DeadlineBudget,
-        note_retry: Callable[..., None],
+    def _retry_rung(
+        self, rung: Callable[[], "dict[str, float]"], name: str, label: str,
+        budget: DeadlineBudget, note_retry: Callable[..., None],
     ) -> "dict[str, float]":
+        """Run one rung's solve, retrying injected worker crashes in budget."""
         def attempt() -> "dict[str, float]":
             maybe_fault(label)
-            return F.exact_rung(query)
+            return rung()
 
         return retry_with_backoff(
             attempt,
             policy=self.retry_policy,
             retry_on=SimulatedWorkerCrash,
-            description=f"exact solve for {label}",
-            give_up_after=max(0.0, budget.remaining() - LADDER_RESERVE),
-            on_retry=note_retry,
-        )
-
-    def _solve_truncated(
-        self, query: ScenarioQuery, label: str, budget: DeadlineBudget,
-        note_retry: Callable[..., None],
-    ) -> "dict[str, float]":
-        def attempt() -> "dict[str, float]":
-            maybe_fault(label)
-            return F.truncated_rung(query, budget.remaining())
-
-        return retry_with_backoff(
-            attempt,
-            policy=self.retry_policy,
-            retry_on=SimulatedWorkerCrash,
-            description=f"truncated solve for {label}",
+            description=f"{name} solve for {label}",
             give_up_after=max(0.0, budget.remaining() - LADDER_RESERVE),
             on_retry=note_retry,
         )
@@ -373,7 +357,9 @@ class QueryService:
             self.breaker.check(region)
             budget.require(EXACT_MIN_BUDGET, "exact")
             raw = await self._run_on_worker(
-                lambda: self._solve_exact(query, label, budget, note_retry),
+                lambda: self._retry_rung(
+                    lambda: F.exact_rung(query), "exact", label, budget, note_retry
+                ),
                 budget,
                 "exact",
             )
@@ -430,7 +416,10 @@ class QueryService:
         record = {"rung": "truncated"}
         try:
             raw = await self._run_on_worker(
-                lambda: self._solve_truncated(query, label, budget, note_retry),
+                lambda: self._retry_rung(
+                    lambda: F.truncated_rung(query, budget.remaining()),
+                    "truncated", label, budget, note_retry,
+                ),
                 budget,
                 "truncated",
             )

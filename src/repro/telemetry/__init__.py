@@ -7,7 +7,7 @@ other import-light packages):
     ``with span("qbd.r_matrix") as sp:`` context managers recording
     nested wall time and attributes into a per-process collector, with
     JSONL export under ``results/TRACE_*.jsonl``.  Off by default —
-    disabled mode is a single dict lookup (verified by the bench gate);
+    disabled mode is a single dict lookup;
     enable with ``REPRO_TRACE=1`` or the CLI ``--trace`` flag.  Spans
     degrade gracefully (never raise), so telemetry cannot fail a sweep.
 ``metrics``

@@ -339,10 +339,10 @@ def _aggregate_by_name(records: list[dict]) -> dict[str, tuple[int, float]]:
 
 
 def diff_traces(a_records: list[dict], b_records: list[dict]) -> str:
-    """Per-stage attribution diff between two traces (bench-gate helper).
+    """Per-stage attribution diff between two traces.
 
     Aggregates self-time by span name in each trace and reports the
-    delta, sorted by absolute change — "the 30% bench regression is all
+    delta, sorted by absolute change — "the 30% regression is all
     in ``qbd.rung.successive-substitution``" in one table.
     """
     a_agg = _aggregate_by_name(a_records)

@@ -234,6 +234,33 @@ class TestSweepBitIdentity:
                 compared += 1
         assert compared >= 6  # all three policies at multiple points
 
+    @pytest.mark.parametrize("job_class", ["short", "long"])
+    def test_diagnostics_do_not_change_a_failed_point(self, job_class):
+        """Asking for the trust record must not change a point's outcome:
+        at this Coxian edge point the exact solves fail the negativity
+        gate, and with diagnostics on the point must still come back as
+        NaN with the same warnings, not re-run the failing solve and
+        raise."""
+        from repro.experiments.figures import _policy_point_values
+        from repro.workloads import WorkloadCase
+
+        params = WorkloadCase("a", long_scv=8.0).params((1 - 1e-8) * 1.7, 0.3)
+
+        def evaluate(with_diagnostics):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                values, diagnostics = _policy_point_values(
+                    params, job_class, with_diagnostics=with_diagnostics
+                )
+            return values, diagnostics, [type(w.message) for w in caught]
+
+        plain_values, _, plain_warnings = evaluate(False)
+        diag_values, diagnostics, diag_warnings = evaluate(True)
+        assert repr(diag_values) == repr(plain_values)
+        assert diag_warnings == plain_warnings
+        for label, value in diag_values.items():
+            assert (label in (diagnostics or {})) == bool(np.isfinite(value)), label
+
 
 #: Cheap oracle budget (mirrors tests/test_oracle.py): decisive in seconds.
 _CHEAP = OracleConfig(
