@@ -157,6 +157,12 @@ def _policy_point_values(
             _POLICY_LABELS[1]: _safe(lambda: LongHostCycle(params).mean_response_time_long()),
             _POLICY_LABELS[2]: _safe(lambda: _cs_cq_long(params, capture=captured_diag)),
         }
+    # A policy _safe mapped to NaN has no solve to check or report:
+    # evaluating its contracts or asking for its diagnostics would re-run
+    # the solve that failed.
+    for source in (captured, captured_diag):
+        for label in [label for label in source if np.isnan(values[label])]:
+            del source[label]
     from ..contracts import contracts_enabled, evaluate
 
     if contracts_enabled():
@@ -169,10 +175,6 @@ def _policy_point_values(
     diagnostics = {}
     for source in (captured, captured_diag):
         for label, analysis in source.items():
-            # A policy _safe mapped to NaN has no solve to report; asking
-            # for its diagnostics would re-run the solve that failed.
-            if np.isnan(values[label]):
-                continue
             diag = getattr(analysis, "solver_diagnostics", None)
             if diag is not None:
                 diagnostics.setdefault(label, diag.as_dict())

@@ -47,8 +47,9 @@ Namespaces in use:
     assembly as well as the solve.  The sweep prefetch
     (:mod:`repro.perf.batched`) seeds it.
 ``service-answer``
-    Validated query-service answers (:mod:`repro.service.fidelity`); with
-    a store attached the replay rung survives restarts.
+    Validated query-service answers (:mod:`repro.service.fidelity`),
+    which the exact rung replays for a repeated point and the ``cached``
+    rung falls back to; with a store attached they survive restarts.
 """
 
 from __future__ import annotations

@@ -8,11 +8,19 @@ weather) allows:
 ``exact``
     Full QBD analyses of all three policies, invariant contracts
     evaluated, result validated against the coarse bounds.  Populates
-    the service's shared sweep cache.
+    the service's shared sweep cache.  A point whose validated exact
+    answer is already memoized is replayed from it instead of solved
+    again, and still tagged ``exact``: the solve is deterministic, so
+    the replay is bit-identical to a fresh solve, and :func:`answer_key`
+    folds in the solver schema version
+    (:data:`~repro.orchestration.spec.SCHEMA_VERSION`), so an answer a
+    different solver version stored is never found.
 ``cached``
-    A previously computed exact answer for the identical point, served
-    straight from the cache — bit-identical numbers at microsecond cost.
-    Never computes on a miss.
+    The same replay as the ladder's fallback, for when the exact rung
+    was skipped (breaker open, budget too small) or failed: a previously
+    computed exact answer for the identical point, served straight from
+    the cache — bit-identical numbers at microsecond cost.  Never
+    computes on a miss.
 ``truncated``
     The truncated-2D-chain approximation the paper critiques (good
     enough when the exact solve is unaffordable): CS-CQ from a
@@ -201,10 +209,12 @@ def exact_rung(query: ScenarioQuery) -> "dict[str, float]":
 
     Per-policy ``E[T_S]``; an unstable policy reports ``inf``.  Evaluated
     contracts that fail raise :class:`ContractViolation` (the rung is
-    rejected; the ladder descends).  The rung always solves fresh — the
-    *service* stores the values under :func:`answer_key` only after they
-    survive bounds validation, so the cache never holds a corrupted
-    answer (see :func:`store_answer`).
+    rejected; the ladder descends).  This function always solves; the
+    *service* first looks the point up with :func:`cached_rung` and only
+    calls it on a miss.  It stores the values under :func:`answer_key`
+    only after they survive bounds validation, so the memo never holds
+    a corrupted answer (see :func:`store_answer`), and a replayed answer
+    is bit-identical to what this function would return.
     """
     case = query.workload()
     params = case.params(float(query.rho_s), float(query.rho_l))
@@ -246,17 +256,26 @@ def exact_rung(query: ScenarioQuery) -> "dict[str, float]":
 
 
 def store_answer(
-    query: ScenarioQuery, values: "dict[str, float]", cache: "SweepCache | None"
+    query: ScenarioQuery,
+    values: "dict[str, float]",
+    cache: "SweepCache | None",
+    key: "str | None" = None,
 ) -> None:
-    """Publish a *validated* exact answer for later ``cached``-rung replay."""
+    """Publish a *validated* exact answer for later replay.
+
+    ``key`` is the query's :func:`answer_key` when the caller already has
+    it.  Publishing records no hit or miss: the :func:`cached_rung`
+    lookup that preceded the solve already counted the miss.
+    """
     if cache is None:
         return
-    frozen = dict(values)
-    cache.get_or_compute("service-answer", answer_key(query), lambda: frozen)
+    cache.seed("service-answer", key or answer_key(query), dict(values))
 
 
 def cached_rung(
-    query: ScenarioQuery, cache: "SweepCache | None"
+    query: ScenarioQuery,
+    cache: "SweepCache | None",
+    key: "str | None" = None,
 ) -> "Optional[dict[str, float]]":
     """Serve a previously computed exact answer, or None on a miss.
 
@@ -265,11 +284,12 @@ def cached_rung(
     the next rung.  When the service's cache carries a persistent store
     tier (``REPRO_STORE``), the lookup also consults it — validated
     answers then survive restarts, and a restarted service replays them
-    instead of re-solving.
+    instead of re-solving.  ``key`` is the query's :func:`answer_key`
+    when the caller already has it.
     """
     if cache is None:
         return None
-    found, value = cache.lookup("service-answer", answer_key(query))
+    found, value = cache.lookup("service-answer", key or answer_key(query))
     if not found:
         return None
     return dict(value)

@@ -16,6 +16,8 @@ service is overloaded:
 - **Fidelity ladder.**  Rungs from :mod:`.fidelity`, best first:
   ``exact`` → ``cached`` → ``truncated`` → ``bound``.  Every answer is
   tagged with the level actually used plus the per-rung attempt log.
+  The exact rung replays a point's validated exact answer when one is
+  memoized (its attempt record says ``replayed``) and solves otherwise.
 - **Honesty by validation.**  Exact and truncated values must fall
   inside the closed-form coarse bounds; a silently corrupted solve
   (chaos mode ``perturb``) is rejected and the ladder descends, so the
@@ -40,7 +42,7 @@ import asyncio
 import math
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
 from ..contracts.answers import DEADLINE_SLACK
 from ..orchestration.deadline import DeadlineBudget
@@ -61,6 +63,8 @@ from .chaos import SimulatedWorkerCrash, apply_perturbation, maybe_fault
 from .query import FIDELITY_LEVELS, ScenarioQuery, ServiceAnswer
 
 __all__ = ["QueryService"]
+
+_T = TypeVar("_T")
 
 #: Minimum budget slice (seconds) worth starting an exact solve with.
 EXACT_MIN_BUDGET = 0.05
@@ -105,11 +109,15 @@ class QueryService:
     default_deadline:
         Budget (seconds) for queries that do not carry their own.
     cache:
-        Shared :class:`~repro.perf.SweepCache` backing the ``cached``
-        rung; a private one is created when omitted, bounded by
-        ``max_cache_entries`` and attached to the persistent store the
-        ``REPRO_STORE`` environment asks for (so validated answers
-        survive restarts).  A caller-supplied cache is used as-is.
+        Shared :class:`~repro.perf.SweepCache` holding validated exact
+        answers.  The exact rung looks a point up here before it solves
+        and replays a hit as ``exact`` (the values are bit-identical to
+        a fresh solve, and the key carries the solver schema version);
+        the ``cached`` rung replays the same entries when the exact rung
+        is skipped or fails.  A private one is created when omitted,
+        bounded by ``max_cache_entries`` and attached to the persistent
+        store the ``REPRO_STORE`` environment asks for (so validated
+        answers survive restarts).  A caller-supplied cache is used as-is.
     max_cache_entries:
         LRU bound for the private cache.  The service is the one
         long-lived cache owner in the codebase — unbounded, it would
@@ -249,11 +257,11 @@ class QueryService:
         return await asyncio.wait_for(asyncio.shield(future), timeout)
 
     def _retry_rung(
-        self, rung: Callable[[], "dict[str, float]"], name: str, label: str,
+        self, rung: Callable[[], _T], name: str, label: str,
         budget: DeadlineBudget, note_retry: Callable[..., None],
-    ) -> "dict[str, float]":
+    ) -> _T:
         """Run one rung's solve, retrying injected worker crashes in budget."""
-        def attempt() -> "dict[str, float]":
+        def attempt() -> _T:
             maybe_fault(label)
             return rung()
 
@@ -349,6 +357,15 @@ class QueryService:
     ) -> "tuple[Optional[dict[str, float]], Optional[str]]":
         """Walk the fidelity ladder; return (values, level) or (None, None)."""
         region = self.region_key(query)
+        key = F.answer_key(query)
+
+        def exact_or_replay() -> "tuple[dict[str, float], bool]":
+            # A validated answer for this point is what a fresh solve
+            # would return, bit for bit; replaying it skips only the solve.
+            replay = F.cached_rung(query, self.cache, key)
+            if replay is not None:
+                return replay, True
+            return F.exact_rung(query), False
 
         # --- exact: QBD + contracts, breaker-guarded, budget-gated ----- #
         started = budget.elapsed()
@@ -356,9 +373,9 @@ class QueryService:
         try:
             self.breaker.check(region)
             budget.require(EXACT_MIN_BUDGET, "exact")
-            raw = await self._run_on_worker(
+            raw, replayed = await self._run_on_worker(
                 lambda: self._retry_rung(
-                    lambda: F.exact_rung(query), "exact", label, budget, note_retry
+                    exact_or_replay, "exact", label, budget, note_retry
                 ),
                 budget,
                 "exact",
@@ -384,8 +401,11 @@ class QueryService:
             self.breaker.record_success(region)
             record["outcome"] = "accepted"
             record["elapsed"] = round(budget.elapsed() - started, 6)
+            if replayed:
+                record["replayed"] = True
+            else:
+                F.store_answer(query, values, self.cache, key)
             attempts.append(record)
-            F.store_answer(query, values, self.cache)
             return values, "exact"
         record["elapsed"] = round(budget.elapsed() - started, 6)
         attempts.append(record)
@@ -393,7 +413,7 @@ class QueryService:
         # --- cached: replay a validated exact answer ------------------- #
         started = budget.elapsed()
         record = {"rung": "cached"}
-        cached = F.cached_rung(query, self.cache) if not budget.expired else None
+        cached = F.cached_rung(query, self.cache, key) if not budget.expired else None
         if cached is not None:
             record["outcome"] = "accepted"
             record["elapsed"] = round(budget.elapsed() - started, 6)

@@ -3,17 +3,19 @@
 import asyncio
 import functools
 import json
+import sys
 
 import pytest
 
 import repro.contracts
 import repro.service.service as service_module
 from repro.contracts import contracts_for
-from repro.core import CsCqAnalysis, CsIdAnalysis
+from repro.core import CsCqAnalysis, CsIdAnalysis, DedicatedAnalysis
 from repro.orchestration import DeadlineBudget, inject_faults
 from repro.perf import SweepCache
 from repro.robustness import CircuitBreaker, ServiceOverloadError
 from repro.service import QueryService, ScenarioQuery
+from repro.service.chaos import reset_crash_counts
 from repro.telemetry import registry
 
 
@@ -191,6 +193,112 @@ class TestDeadlines:
         assert rungs[-1] == answer.fidelity
         skipped = [a for a in answer.attempts if a["outcome"] == "skipped"]
         assert skipped, "cheap rungs must record why expensive ones were skipped"
+
+
+class TestMemoizedExactRung:
+    """A point already answered exactly is replayed by the exact rung.
+
+    The replay happens after the rung's injected fault fires and before
+    perturbation and bounds validation, so a memoized point meets the
+    same faults and checks as a solved one; only the solve is skipped.
+    """
+
+    def _warm(self, service):
+        (first,) = service.run_batch([_query(label="first")])
+        assert first.fidelity == "exact"
+        assert "replayed" not in first.attempts[0]
+        return first
+
+    def test_repeat_is_replayed_as_exact(self):
+        cache = SweepCache()
+        with QueryService(workers=2, cache=cache, name="t") as service:
+            first = self._warm(service)
+            solves = registry().counter("qbd.solves")
+            (repeat,) = service.run_batch([_query(label="repeat")])
+        assert repeat.status == "answered"
+        assert repeat.fidelity == "exact"
+        assert repeat.values == first.values
+        assert [a["rung"] for a in repeat.attempts] == ["exact"]
+        assert repeat.attempts[0]["replayed"] is True
+        assert registry().counter("qbd.solves") == solves
+        counts = cache.stats()["by_namespace"]["service-answer"]
+        assert (counts["hits"], counts["misses"]) == (1, 1)
+
+    def test_concurrent_repeats_share_one_memo(self):
+        """Workers look up and publish answers concurrently: every query
+        makes exactly one memo lookup, and every repeat of a point gets
+        the same values."""
+        points = [dict(rho_s=0.3 + 0.2 * i, rho_l=0.5) for i in range(3)]
+        queries = [
+            _query(label=f"stress-{i}", **points[i % len(points)])
+            for i in range(24)
+        ]
+        cache = SweepCache()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with QueryService(
+                workers=8, queue_limit=len(queries), cache=cache, name="t"
+            ) as service:
+                answers = service.run_batch(queries)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(a.fidelity == "exact" for a in answers)
+        for i, answer in enumerate(answers):
+            assert answer.values == answers[i % len(points)].values
+        counts = cache.stats()["by_namespace"]["service-answer"]
+        assert counts["hits"] + counts["misses"] == len(queries)
+        assert counts["misses"] >= len(points)
+        assert len(cache) == len(points)
+
+    def test_crash_on_a_memoized_point_is_retried(self):
+        reset_crash_counts()
+        cache = SweepCache()
+        with QueryService(workers=2, cache=cache, name="t") as service:
+            first = self._warm(service)
+            with inject_faults(crash=["crash-memo"]):
+                (answer,) = service.run_batch([_query(label="crash-memo")])
+        reset_crash_counts()
+        assert answer.fidelity == "exact"
+        assert answer.retries == 1
+        assert answer.attempts[0]["replayed"] is True
+        assert answer.values == first.values
+
+    @pytest.mark.usefixtures("frozen_budget_clock")
+    def test_hang_on_a_memoized_point_falls_back_to_cached(self):
+        cache = SweepCache()
+        with QueryService(workers=2, cache=cache, name="t") as service:
+            first = self._warm(service)
+            with inject_faults(hang=["hang-memo"], hang_seconds=1.0):
+                (answer,) = service.run_batch(
+                    [_query(label="hang-memo", deadline=0.3)]
+                )
+        assert answer.fidelity == "cached"
+        assert [(a["rung"], a["outcome"]) for a in answer.attempts] == [
+            ("exact", "timeout"), ("cached", "accepted")
+        ]
+        assert answer.values == first.values
+
+    def test_perturbed_answer_is_never_memoized(self):
+        cache = SweepCache()
+        point = dict(rho_s=0.9, rho_l=0.7)
+        with QueryService(workers=2, cache=cache, name="t") as service:
+            with inject_faults(perturb=["perturb-memo"], perturb_factor=100.0):
+                (perturbed,) = service.run_batch(
+                    [_query(label="perturb-memo", **point)]
+                )
+            assert perturbed.fidelity != "exact"
+            key = service_module.F.answer_key(_query(**point))
+            assert not cache.contains("service-answer", key)
+            (clean,) = service.run_batch([_query(label="clean", **point)])
+        assert clean.fidelity == "exact"
+        assert "replayed" not in clean.attempts[0]
+        params = _query(**point).workload().params(0.9, 0.7)
+        assert clean.values == {
+            "Dedicated": DedicatedAnalysis(params).mean_response_time_short(),
+            "CS-ID": CsIdAnalysis(params).mean_response_time_short(),
+            "CS-CQ": CsCqAnalysis(params).mean_response_time_short(),
+        }
 
 
 class TestAdmissionControl:

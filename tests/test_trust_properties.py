@@ -261,6 +261,32 @@ class TestSweepBitIdentity:
         for label, value in diag_values.items():
             assert (label in (diagnostics or {})) == bool(np.isfinite(value)), label
 
+    def test_failed_solve_gets_no_contract_evaluation(self, monkeypatch):
+        """At the same edge point the short row's CS-CQ solve fails; the
+        contract loop must skip it rather than re-run the failing solve
+        once per contract and report the solver error as violations."""
+        from repro.experiments.figures import _POLICY_LABELS, _policy_point_values
+        from repro.markov.qbd import QbdProcess
+        from repro.robustness import ContractViolationWarning
+        from repro.workloads import WorkloadCase
+
+        monkeypatch.delenv("REPRO_NO_CONTRACTS", raising=False)
+        solves = []
+        solve = QbdProcess.solve
+
+        def counting_solve(self, *args, **kwargs):
+            solves.append(self)
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(QbdProcess, "solve", counting_solve)
+        params = WorkloadCase("a", long_scv=8.0).params((1 - 1e-8) * 1.7, 0.3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values, _ = _policy_point_values(params, "short")
+        assert np.isnan(values[_POLICY_LABELS[2]])
+        assert len(solves) == 1
+        assert not [w for w in caught if w.category is ContractViolationWarning]
+
 
 #: Cheap oracle budget (mirrors tests/test_oracle.py): decisive in seconds.
 _CHEAP = OracleConfig(
