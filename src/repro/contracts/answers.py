@@ -19,13 +19,27 @@ from typing import Any
 
 from .registry import ContractResult, contract
 
-__all__ = ["answer_fields"]
+__all__ = ["BOUNDS_SLACK", "DEADLINE_SLACK", "FIDELITY_LEVELS", "answer_fields"]
 
 #: Slack added to the deadline check: the budget bounds *solver* work,
 #: and the final bookkeeping (verdict, manifest row) costs a little more.
 DEADLINE_SLACK = 0.25
 
-_FIDELITY_LEVELS = ("exact", "cached", "truncated", "bound")
+#: Relative slack allowed around the coarse bounds, both when the service
+#: validates an exact answer and when this contract re-checks it.  The
+#: bounds hold exactly for the true system; an accepted exact answer may
+#: still be off by the chain's busy-period moment matching (a few percent)
+#: plus a trust bound of up to 1e-2.
+BOUNDS_SLACK = 0.05
+
+#: Answer sources, best first.  The service tags every answer with the
+#: level that produced it:
+#:
+#: ``exact``  full QBD analysis with invariant contracts evaluated, or the
+#:            replay of such an answer already memoized for the same point
+#:            (bit-identical numbers, no solve)
+#: ``bound``  coarse stability-region bounds only (closed form)
+FIDELITY_LEVELS = ("exact", "bound")
 
 
 def answer_fields(subject: Any) -> "dict[str, Any]":
@@ -51,7 +65,7 @@ def _fidelity_tag(subject) -> "list[ContractResult] | None":
     if fields.get("status") != "answered":
         return None
     fidelity = fields.get("fidelity")
-    valid = fidelity in _FIDELITY_LEVELS
+    valid = fidelity in FIDELITY_LEVELS
     accepted = [
         a.get("rung")
         for a in fields.get("attempts", ())
@@ -113,10 +127,10 @@ def _within_bounds(subject) -> "list[ContractResult] | None":
         b = bounds.get(policy)
         if b is None or value is None or not math.isfinite(value):
             continue
-        # Mirror the service-side validator's slack (BOUNDS_SLACK): the
-        # contract re-checks what validation already guaranteed.
-        lower = float(b["lower"]) * 0.95 if b["stable"] else float("inf")
-        upper = float(b["upper"]) * 1.05 if b["stable"] else float("-inf")
+        # The contract re-checks what the service's validation already
+        # guaranteed, with the same slack.
+        lower = float(b["lower"]) * (1.0 - BOUNDS_SLACK) if b["stable"] else float("inf")
+        upper = float(b["upper"]) * (1.0 + BOUNDS_SLACK) if b["stable"] else float("-inf")
         ok = bool(b["stable"]) and lower <= value and (
             not math.isfinite(upper) or value <= upper
         )
@@ -126,7 +140,7 @@ def _within_bounds(subject) -> "list[ContractResult] | None":
                 passed=ok,
                 observed=float(value),
                 expected=float(b["upper"]) if b["stable"] else float("nan"),
-                tolerance=0.05,
+                tolerance=BOUNDS_SLACK,
                 detail="" if ok else f"{policy} value escapes its certified bounds",
             )
         )

@@ -200,9 +200,7 @@ def _littles_long(analysis, params=None) -> "ContractResult | None":
     "CS-CQ regions 1 and 2 form a probability fragment with a valid mixture",
 )
 def _region_fragment(analysis, params=None) -> "list[ContractResult] | None":
-    if not hasattr(analysis, "region_probabilities") or getattr(
-        analysis, "degraded", False
-    ):
+    if not hasattr(analysis, "region_probabilities"):
         return None
     regions = analysis.region_probabilities()
     region1 = _require_finite(regions.region1, "region 1 probability")
@@ -250,11 +248,7 @@ def _short_throughput(analysis, params=None) -> "ContractResult | None":
     from ..core import CsCqAnalysis
 
     params = params if params is not None else analysis.params
-    if (
-        not isinstance(analysis, CsCqAnalysis)
-        or analysis.degraded
-        or params.lam_s <= 0.0
-    ):
+    if not isinstance(analysis, CsCqAnalysis) or params.lam_s <= 0.0:
         return None
     solution = analysis.solution
     exits = analysis.short_ph.exit_rates

@@ -126,7 +126,6 @@ class PointVerdict:
     escalations: int = 0
     measured_jobs_final: int = 0
     perturbed: bool = False
-    degraded: bool = False
     wall_time: float = 0.0
     #: Numerical-trust record of the answer under test: the solver's
     #: verdict and error bound plus the reported-vs-implied audit term
@@ -149,7 +148,6 @@ class PointVerdict:
             "escalations": self.escalations,
             "measured_jobs_final": self.measured_jobs_final,
             "perturbed": self.perturbed,
-            "degraded": self.degraded,
             "wall_time": self.wall_time,
             "trust": self.trust,
         }
@@ -271,12 +269,10 @@ def check_point(
     analysis = CsCqAnalysis(params)
     analytic_short = analysis.mean_response_time_short()
     analytic_long = analysis.mean_response_time_long()
-    degraded = analysis.degraded
 
     contracts: "list[ContractResult]" = []
     contracts.extend(evaluate("analysis", analysis, params=params))
-    if not degraded:
-        contracts.extend(evaluate("solution", analysis.solution))
+    contracts.extend(evaluate("solution", analysis.solution))
 
     # Deterministic perturbation (fault harness mode "perturb"): corrupt
     # the converged QBD answer so the oracle's detection power is testable.
@@ -321,7 +317,7 @@ def check_point(
     exponential_sizes = isinstance(params.short_service, Exponential) and isinstance(
         params.long_service, Exponential
     )
-    if exponential_sizes and not degraded:
+    if exponential_sizes:
         reference = CsCqTruncatedChain(
             params, max_short=config.max_short, max_long=config.max_long
         ).solve()
@@ -421,7 +417,6 @@ def check_point(
         escalations=escalations,
         measured_jobs_final=measured,
         perturbed=perturbed,
-        degraded=degraded,
         wall_time=time.perf_counter() - start,
         trust=trust_record,
     )

@@ -50,10 +50,9 @@ following busy period are treated as independent.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
 
@@ -67,14 +66,7 @@ from ..distributions import (
 )
 from ..markov import QbdProcess, QbdSolution, cached_solution
 from ..queueing import Mg1SetupQueue
-from ..robustness import (
-    ConvergenceError,
-    NearBoundaryWarning,
-    NumericalError,
-    ReproError,
-    SolverDiagnostics,
-    trust_verdict,
-)
+from ..robustness import ConvergenceError, NumericalError, SolverDiagnostics
 from ..telemetry import span
 from .params import SystemParameters, UnstableSystemError
 
@@ -211,30 +203,16 @@ class CsCqAnalysis:
         chain); long service is fully general (moments).
     n_moments:
         How many busy-period moments to match (default 3, as in the paper).
-    degrade_near_boundary:
-        When True (the default) and the exact QBD solve fails with a typed
-        :class:`~repro.robustness.ReproError` *within* ``boundary_margin``
-        of the stability boundary, fall back to the finite-level
-        :class:`~repro.core.cs_cq_truncated.CsCqTruncatedChain` (possible
-        for exponential shorts and longs only) and attach a
-        :class:`~repro.robustness.NearBoundaryWarning` instead of crashing
-        — so figure sweeps complete end-to-end.
-    boundary_margin:
-        Relative distance to the boundary that arms the fallback: degrade
-        when ``(2 - rho_l) - rho_s <= boundary_margin * (2 - rho_l)``.
+
+    The chain is solved on first use.  A solve that fails (near the
+    stability boundary, say) raises its typed
+    :class:`~repro.robustness.ReproError` from every accessor that needs
+    the solution; nothing answers from an approximation in its place.
     """
 
-    def __init__(
-        self,
-        params: SystemParameters,
-        n_moments: int = 3,
-        degrade_near_boundary: bool = True,
-        boundary_margin: float = 0.05,
-    ):
+    def __init__(self, params: SystemParameters, n_moments: int = 3):
         self.params = params
         self.n_moments = n_moments
-        self.degrade_near_boundary = degrade_near_boundary
-        self.boundary_margin = boundary_margin
         if params.rho_l >= 1.0:
             raise UnstableSystemError(
                 f"CS-CQ long jobs unstable: rho_l = {params.rho_l:.4g} >= 1"
@@ -264,38 +242,6 @@ class CsCqAnalysis:
             self.params.lam_l, self.params.long_service, self._interval_moments
         )
         self._ph_n1 = fit_busy_period(self._bn1_moments, self.n_moments).as_phase_type()
-
-    # ------------------------------------------------------------------
-    # Graceful degradation near the stability boundary
-    # ------------------------------------------------------------------
-    def _near_boundary(self) -> bool:
-        capacity = 2.0 - self.params.rho_l
-        return capacity - self.params.rho_s <= self.boundary_margin * capacity
-
-    def _can_degrade(self) -> bool:
-        return (
-            self.degrade_near_boundary
-            and self._near_boundary()
-            and isinstance(self.params.short_service, Exponential)
-            and isinstance(self.params.long_service, Exponential)
-        )
-
-    @cached_property
-    def _outcome(self) -> tuple[str, Union[QbdSolution, "TruncatedResult"]]:
-        """``("qbd", QbdSolution)`` or ``("truncated", TruncatedResult)``.
-
-        The truncated branch only arms when the exact solve raised a typed
-        error near the boundary and both size distributions are exponential
-        (the truncated chain's requirement); otherwise the error propagates.
-        """
-        with span(
-            "analysis.cs_cq",
-            rho_s=self.params.rho_s,
-            rho_l=self.params.rho_l,
-        ) as analysis_span:
-            kind, value = self._solve_outcome()
-            analysis_span.set("mode", kind)
-        return kind, value
 
     def _solution_cache_key(self) -> tuple:
         """``analysis-solution`` cache key: the chain's defining inputs
@@ -338,56 +284,10 @@ class CsCqAnalysis:
             iterations=MAX_FIXED_POINT_ITER,
         )
 
-    def _solve_outcome(self) -> tuple[str, Union[QbdSolution, "TruncatedResult"]]:
-        try:
-            return "qbd", self._fixed_point()
-        except ReproError as exc:
-            if not self._can_degrade():
-                raise
-            self._degraded_from = exc
-            warnings.warn(
-                NearBoundaryWarning(
-                    f"CS-CQ exact QBD solve failed at rho_s={self.params.rho_s:.4g}, "
-                    f"rho_l={self.params.rho_l:.4g} ({type(exc).__name__}: {exc.message}); "
-                    "falling back to the truncated finite-level solver — results "
-                    "carry truncation error"
-                ),
-                stacklevel=2,
-            )
-            from .cs_cq_truncated import CsCqTruncatedChain
-
-            chain = CsCqTruncatedChain(self.params, max_short=250, max_long=120)
-            return "truncated", chain.solve()
-
-    @property
-    def degraded(self) -> bool:
-        """True when results come from the truncated fallback solver."""
-        return self._outcome[0] == "truncated"
-
     @property
     def solver_diagnostics(self) -> SolverDiagnostics:
         """Diagnostics of the solve that produced this analysis' numbers."""
-        kind, value = self._outcome
-        if kind == "qbd":
-            return value.diagnostics
-        exc = getattr(self, "_degraded_from", None)
-        # The finite-level chain's dominant error source is the mass it
-        # truncates away, so that is the forward error bound; a degraded
-        # result never earns full trust even when the mass is tiny.
-        bound = float(value.truncation_mass)
-        verdict = trust_verdict(bound)
-        if verdict == "trusted":
-            verdict = "suspect"
-        return SolverDiagnostics(
-            method="truncated-fallback",
-            degraded=True,
-            notes=(
-                f"exact solve failed: {exc}" if exc is not None else "exact solve failed",
-                f"truncation mass {value.truncation_mass:.3g}",
-            ),
-            error_bound=bound,
-            trust=verdict,
-        )
+        return self.solution.diagnostics
 
     # ------------------------------------------------------------------
     # Chain construction
@@ -466,27 +366,19 @@ class CsCqAnalysis:
             a2=a2,
         )
 
-    @property
+    @cached_property
     def solution(self) -> QbdSolution:
         """Stationary solution of the busy-period-transition QBD (at the
-        ``eta`` fixed point).
-
-        Raises the original solver error when the analysis degraded to the
-        truncated fallback (which has no matrix-geometric solution); the
-        mean-value accessors keep working in that mode.
-        """
-        kind, value = self._outcome
-        if kind != "qbd":
-            raise self._degraded_from
-        return value
+        ``eta`` fixed point); a failed solve raises its typed error."""
+        with span("analysis.cs_cq", rho_s=self.params.rho_s, rho_l=self.params.rho_l):
+            return self._fixed_point()
 
     # ------------------------------------------------------------------
     # Short jobs
     # ------------------------------------------------------------------
     def mean_number_short(self) -> float:
         """Mean number of short jobs in the system, ``E[N_S]``."""
-        kind, value = self._outcome
-        return value.mean_level() if kind == "qbd" else value.mean_number_short
+        return self.solution.mean_level()
 
     def mean_response_time_short(self) -> float:
         """Mean response time of short jobs (Little's law on the chain)."""
@@ -544,9 +436,6 @@ class CsCqAnalysis:
         """Mean long-job response time: M/G/1 with setup (paper Section 2.4)."""
         if self.params.lam_l <= 0.0:
             raise ValueError("long response time undefined when lam_l == 0")
-        kind, value = self._outcome
-        if kind == "truncated":
-            return value.mean_response_time_long
         return self._setup_queue().mean_response_time()
 
     def long_response_time_cdf(self, t: float) -> float:
@@ -572,27 +461,19 @@ class CsCqAnalysis:
         effective utilization — response times diverge as it approaches
         1), the region probabilities, and the
         :class:`~repro.robustness.SolverDiagnostics` of the underlying
-        solve (under ``"solver"``).  In degraded (truncated-fallback) mode
-        only the solver record and the degradation flag are meaningful.
+        solve (under ``"solver"``).
         """
-        out: dict[str, Any] = {
+        sol = self.solution
+        regions = self.region_probabilities()
+        return {
             "busy_l_moments": self.busy_l.moments(),
             "busy_n1_moments": self._bn1_moments,
             "ph_l_phases": self._ph_l.n_phases,
             "ph_n1_phases": self._ph_n1.n_phases,
-            "degraded": self.degraded,
             "solver": self.solver_diagnostics,
+            "phases_per_level": sol.r_matrix.shape[0],
+            "tail_spectral_radius": sol.tail_spectral_radius,
+            "region1": regions.region1,
+            "region2": regions.region2,
+            "p_setup_zero": regions.p_setup_zero,
         }
-        if not self.degraded:
-            sol = self.solution
-            regions = self.region_probabilities()
-            out.update(
-                {
-                    "phases_per_level": sol.r_matrix.shape[0],
-                    "tail_spectral_radius": sol.tail_spectral_radius,
-                    "region1": regions.region1,
-                    "region2": regions.region2,
-                    "p_setup_zero": regions.p_setup_zero,
-                }
-            )
-        return out

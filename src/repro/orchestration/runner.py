@@ -22,9 +22,11 @@ Classification of a point:
 ``ok``
     The task returned normally.
 ``degraded``
-    The task returned, but under graceful degradation — it emitted a
-    :class:`~repro.robustness.NearBoundaryWarning` or its solver
-    diagnostics carry ``degraded=True`` (PR 1's truncated-chain ladder).
+    The task returned, but with reduced accuracy or certainty: it emitted
+    a :class:`~repro.robustness.NearBoundaryWarning` (a solve close to
+    the stability boundary), set a truthy ``degraded`` key in its value
+    dict (an ``inconclusive`` oracle verdict), or carries solver
+    diagnostics with ``degraded=True``.
 ``suspect``
     The task returned a value, but an invariant contract failed or the
     consistency oracle flagged it — it emitted a

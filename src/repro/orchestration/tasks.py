@@ -124,7 +124,7 @@ def oracle_point(case: dict, rho_s: float, rho_l: float, config: dict) -> dict:
     return {
         **verdict.as_dict(),
         "suspect": verdict.classification == "suspect",
-        "degraded": verdict.degraded or verdict.classification == "inconclusive",
+        "degraded": verdict.classification == "inconclusive",
     }
 
 

@@ -48,8 +48,8 @@ Namespaces in use:
     (:mod:`repro.perf.batched`) seeds it.
 ``service-answer``
     Validated query-service answers (:mod:`repro.service.fidelity`),
-    which the exact rung replays for a repeated point and the ``cached``
-    rung falls back to; with a store attached they survive restarts.
+    which the exact rung replays for a repeated point; with a store
+    attached they survive restarts.
 """
 
 from __future__ import annotations

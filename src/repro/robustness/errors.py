@@ -289,9 +289,9 @@ class RetryExhaustedError(ServiceError):
 
 class NearBoundaryWarning(UserWarning):
     """The system is close enough to the stability boundary that results are
-    degraded: either a fallback solver produced them (truncated chain) or
-    conditioning checks flag reduced accuracy.  Carries no context dict —
-    use the warning message; typed context lives on the errors."""
+    degraded: conditioning checks flag reduced accuracy, or a sweep point
+    failed and is plotted as NaN.  Carries no context dict — use the
+    warning message; typed context lives on the errors."""
 
 
 class ContractViolationWarning(UserWarning):

@@ -18,14 +18,13 @@ __all__ = ["SolverDiagnostics"]
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
-    """Machine-readable record of one QBD (or fallback) solve.
+    """Machine-readable record of one QBD solve.
 
     Attributes
     ----------
     method:
         The accepted solver rung (``"logarithmic-reduction"``,
-        ``"successive-substitution"``, ...) or ``"truncated-fallback"``
-        when the exact solve was abandoned for the finite-level chain.
+        ``"successive-substitution"``, ...).
     rungs:
         Every fallback-ladder attempt, in order, including the accepted one.
     residual:
@@ -50,10 +49,11 @@ class SolverDiagnostics:
         are bit-identical to recomputed ones; the flag exists so sweeps
         remain observable under caching.
     degraded:
-        True when the result came from a graceful-degradation path (e.g.
-        the truncated finite-level solver) rather than the exact analysis.
+        True when the result came from something other than the exact
+        analysis.  No solver sets it any more; the field stays because it
+        is part of the store and journal payload format.
     notes:
-        Free-form annotations (e.g. why degradation triggered).
+        Free-form annotations.
     condition_estimate:
         1-norm condition estimate of the worst linear stage behind this
         result (boundary system vs ``I - R``), from

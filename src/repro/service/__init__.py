@@ -6,7 +6,11 @@ loads, which policy keeps E[T_S] under x?"* — each with a wall-clock
 deadline budget, and the service answers at the best **fidelity** the
 budget and the fault weather allow instead of timing out or lying:
 
-``exact`` → ``cached`` → ``truncated`` → ``bound``
+``exact`` → ``bound``
+
+An exact answer is either solved (QBD analyses plus invariant contracts)
+or replayed bit for bit from the memo of validated exact answers; the
+closed-form bound answers whenever the exact rung cannot.
 
 Overload is shed at admission (typed
 :class:`~repro.robustness.ServiceOverloadError` with a retry-after

@@ -1,8 +1,6 @@
-"""Answer-source fidelity ladder for scenario queries.
+"""The service's two answer sources for scenario queries.
 
-PR 1's :func:`~repro.robustness.run_fallback_ladder` generalizes *solver
-variants*; this module generalizes the idea to *answer sources*.  A query
-is answered by the best source the deadline budget (and the fault
+A query is answered by the best source the deadline budget (and the fault
 weather) allows:
 
 ``exact``
@@ -15,27 +13,18 @@ weather) allows:
     folds in the solver schema version
     (:data:`~repro.orchestration.spec.SCHEMA_VERSION`), so an answer a
     different solver version stored is never found.
-``cached``
-    The same replay as the ladder's fallback, for when the exact rung
-    was skipped (breaker open, budget too small) or failed: a previously
-    computed exact answer for the identical point, served straight from
-    the cache — bit-identical numbers at microsecond cost.  Never
-    computes on a miss.
-``truncated``
-    The truncated-2D-chain approximation the paper critiques (good
-    enough when the exact solve is unaffordable): CS-CQ from a
-    budget-sized truncation, Dedicated from the closed-form M/G/1
-    answer; CS-ID is not available at this fidelity and reports NaN.
 ``bound``
     Closed-form stability-region bounds only: ``E[S_s] <= E[T_S]`` and,
     inside the Dedicated stability region, the policy-dominance upper
     bound ``E[T_S] <= E[T_S]^Dedicated`` (cycle stealing only helps
     shorts).  Microseconds, always available for a valid point.
 
-The bounds double as a *validator* for the higher rungs: an exact or
-truncated value outside the certified interval is rejected (the rung
-fails, the ladder descends) — a silently corrupted solve degrades the
-answer's fidelity tag instead of lying through it.
+The bounds double as a *validator* for the exact source: a value outside
+the certified interval is rejected (the exact rung fails and the bound
+answers) — a silently corrupted solve or replay degrades the answer's
+fidelity tag instead of lying through it.  There is no level between the
+two: the paper rejects truncating the 2D chain as neither accurate nor
+robust enough (DESIGN.md §4, the truncation ablation).
 """
 
 from __future__ import annotations
@@ -43,12 +32,11 @@ from __future__ import annotations
 import math
 from typing import Any, Optional
 
+from ..contracts.answers import BOUNDS_SLACK
 from ..core import (
     CsCqAnalysis,
-    CsCqTruncatedChain,
     CsIdAnalysis,
     DedicatedAnalysis,
-    SystemParameters,
     UnstableSystemError,
     cs_cq_is_stable,
     cs_id_is_stable,
@@ -61,26 +49,15 @@ from ..robustness import ContractViolation
 from .query import POLICIES, ScenarioQuery
 
 __all__ = [
-    "BOUNDS_SLACK",
     "answer_key",
     "bound_values",
     "cached_rung",
     "coarse_bounds",
     "exact_rung",
     "store_answer",
-    "truncated_rung",
     "validate_against_bounds",
     "verdict_for",
 ]
-
-#: Relative slack allowed when validating a rung's values against the
-#: coarse bounds: dominance holds exactly in theory, but degraded solves
-#: near the stability boundary carry a few percent of numerical error.
-BOUNDS_SLACK = 0.05
-
-#: Truncation sizes for the ``truncated`` rung, largest first; the rung
-#: picks the biggest whose rough cost estimate fits the remaining budget.
-TRUNCATION_SIZES = (60, 40, 24)
 
 _INF = float("inf")
 
@@ -107,7 +84,7 @@ def answer_key(query: ScenarioQuery) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# Coarse bounds (the ladder's floor, and every rung's validator)
+# Coarse bounds (the ladder's floor, and the exact rung's validator)
 # --------------------------------------------------------------------------- #
 
 
@@ -209,7 +186,7 @@ def exact_rung(query: ScenarioQuery) -> "dict[str, float]":
 
     Per-policy ``E[T_S]``; an unstable policy reports ``inf``.  Evaluated
     contracts that fail raise :class:`ContractViolation` (the rung is
-    rejected; the ladder descends).  This function always solves; the
+    rejected; the bound answers).  This function always solves; the
     *service* first looks the point up with :func:`cached_rung` and only
     calls it on a miss.  It stores the values under :func:`answer_key`
     only after they survive bounds validation, so the memo never holds
@@ -240,9 +217,8 @@ def exact_rung(query: ScenarioQuery) -> "dict[str, float]":
                 if not result.passed:
                     raise result.as_violation()
     # An exact answer whose own error bound says the leading digits are
-    # in doubt is worse than an honest approximation: refuse the rung so
-    # the ladder descends and the answer is served at a fidelity whose
-    # label matches its accuracy.
+    # in doubt must not be tagged exact: refuse the rung so the answer is
+    # served at a fidelity whose label matches its accuracy.
     for policy, analysis in captured.items():
         diag = getattr(analysis, "solver_diagnostics", None)
         if diag is not None and diag.trust == "untrusted":
@@ -277,11 +253,11 @@ def cached_rung(
     cache: "SweepCache | None",
     key: "str | None" = None,
 ) -> "Optional[dict[str, float]]":
-    """Serve a previously computed exact answer, or None on a miss.
+    """A previously computed exact answer for the point, or None on a miss.
 
-    This rung never computes: a hit is bit-identical to the exact answer
-    it replays (and costs microseconds); a miss simply falls through to
-    the next rung.  When the service's cache carries a persistent store
+    The exact rung's replay: it never computes, a hit is bit-identical to
+    the exact answer it replays (and costs microseconds), and on a miss
+    the service solves.  When the service's cache carries a persistent store
     tier (``REPRO_STORE``), the lookup also consults it — validated
     answers then survive restarts, and a restarted service replays them
     instead of re-solving.  ``key`` is the query's :func:`answer_key`
@@ -293,44 +269,6 @@ def cached_rung(
     if not found:
         return None
     return dict(value)
-
-
-def truncated_rung(
-    query: ScenarioQuery, budget_remaining: float = _INF
-) -> "dict[str, float]":
-    """Truncated-chain approximation (exponential sizes only).
-
-    CS-CQ comes from a :class:`~repro.core.CsCqTruncatedChain` whose
-    truncation size shrinks with the remaining budget; Dedicated from the
-    exact M/G/1 closed form; CS-ID reports NaN (no cheap approximation
-    exists at this fidelity — the verdict marks it ``unknown``).
-    """
-    case = query.workload()
-    params = case.params(float(query.rho_s), float(query.rho_l))
-    values: "dict[str, float]" = {}
-    rho_s, rho_l = float(query.rho_s), float(query.rho_l)
-    if dedicated_is_stable(rho_s, rho_l):
-        values["Dedicated"] = (
-            Mg1Queue(params.lam_s, params.short_service).mean_response_time()
-            if rho_s > 0
-            else case.mean_short
-        )
-    else:
-        values["Dedicated"] = _INF
-    values["CS-ID"] = float("nan")
-    if not cs_cq_is_stable(rho_s, rho_l):
-        values["CS-CQ"] = _INF
-        return values
-    # Rough cost model: a size-n truncation is O(n^2) states; stay well
-    # under the budget so the coordinator's per-rung timeout rarely fires.
-    size = TRUNCATION_SIZES[-1]
-    for candidate in TRUNCATION_SIZES:
-        if budget_remaining >= (candidate / 40.0) ** 2 * 0.25:
-            size = candidate
-            break
-    result = CsCqTruncatedChain(params, max_short=size, max_long=size).solve()
-    values["CS-CQ"] = float(result.mean_response_time_short)
-    return values
 
 
 def verdict_for(
@@ -370,7 +308,3 @@ def verdict_for(
         "unknown": unknown,
     }
 
-
-def params_for(query: ScenarioQuery) -> SystemParameters:
-    """The query's :class:`~repro.core.SystemParameters` (validated)."""
-    return query.workload().params(float(query.rho_s), float(query.rho_l))

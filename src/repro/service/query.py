@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
+from ..contracts.answers import FIDELITY_LEVELS
 from ..workloads import WorkloadCase, case_by_name
 
 __all__ = [
@@ -27,17 +28,6 @@ __all__ = [
     "ScenarioQuery",
     "ServiceAnswer",
 ]
-
-#: Answer sources, best first.  The service's fidelity ladder walks them
-#: in this order; every answer is tagged with the level that produced it.
-#:
-#: ``exact``      full QBD analysis, invariant contracts evaluated
-#: ``cached``     a previously computed exact answer served from the
-#:                sweep cache (bit-identical numbers, no solve)
-#: ``truncated``  truncated-2D-chain approximation (CS-CQ) plus closed
-#:                forms where available
-#: ``bound``      coarse stability-region bounds only (closed form)
-FIDELITY_LEVELS = ("exact", "cached", "truncated", "bound")
 
 #: Policies every query is answered for (the paper's three).
 POLICIES = ("Dedicated", "CS-ID", "CS-CQ")

@@ -10,24 +10,26 @@ service is overloaded:
   :class:`~repro.robustness.ServiceOverloadError` carrying a
   ``retry_after`` hint — a fast honest *no* instead of a slow timeout.
 - **Deadline budgets.**  Each admitted query starts a
-  :class:`~repro.orchestration.DeadlineBudget`; every rung of the
-  fidelity ladder converts ``remaining()`` into an ``asyncio.wait_for``
-  timeout, so one user-facing promise bounds all solver work below it.
-- **Fidelity ladder.**  Rungs from :mod:`.fidelity`, best first:
-  ``exact`` → ``cached`` → ``truncated`` → ``bound``.  Every answer is
-  tagged with the level actually used plus the per-rung attempt log.
-  The exact rung replays a point's validated exact answer when one is
-  memoized (its attempt record says ``replayed``) and solves otherwise.
-- **Honesty by validation.**  Exact and truncated values must fall
-  inside the closed-form coarse bounds; a silently corrupted solve
-  (chaos mode ``perturb``) is rejected and the ladder descends, so the
+  :class:`~repro.orchestration.DeadlineBudget`; the exact rung converts
+  ``remaining()`` into an ``asyncio.wait_for`` timeout, so one
+  user-facing promise bounds all solver work below it.
+- **Fidelity ladder.**  Two rungs from :mod:`.fidelity`, best first:
+  ``exact`` → ``bound``.  Every answer is tagged with the level actually
+  used plus the per-rung attempt log.  The exact rung replays a point's
+  validated exact answer when one is memoized (its attempt record says
+  ``replayed``) and solves otherwise; the closed-form bound answers when
+  the exact rung is skipped, times out or fails.
+- **Honesty by validation.**  Exact values, solved or replayed, must fall
+  inside the closed-form coarse bounds; a silently corrupted answer
+  (chaos mode ``perturb``) is rejected and the bound answers, so the
   fidelity tag never overstates the answer.
 - **Circuit breaker.**  Repeated exact-solver failures in a parameter
   region (bucketed loads) open the breaker for that region; while open,
-  the exact rung is skipped outright and queries degrade immediately.
+  the exact rung solves nothing there (memoized points still replay) and
+  the other queries degrade immediately.
 - **Retry with backoff.**  Transient worker faults
   (:class:`~.chaos.SimulatedWorkerCrash`) are retried with decorrelated
-  jitter inside the rung's deadline slice.
+  jitter inside the exact rung's deadline slice.
 
 Everything is observable: per-query spans (``service.query``), counters
 (``service.submitted/answered/shed/rejected/degraded/retried`` and
@@ -69,8 +71,8 @@ _T = TypeVar("_T")
 #: Minimum budget slice (seconds) worth starting an exact solve with.
 EXACT_MIN_BUDGET = 0.05
 
-#: Budget slice reserved below each expensive rung so the ladder always
-#: has time left to fall back to the closed-form floor.
+#: Budget slice reserved below the exact rung so the ladder always has
+#: time left to fall back to the closed-form floor.
 LADDER_RESERVE = 0.02
 
 #: Telemetry counters the manifest cross-checks (service-owned ones).
@@ -101,23 +103,23 @@ class QueryService:
     Parameters
     ----------
     workers:
-        Solver threads.  Expensive rungs run here; cheap rungs (cache
-        replay, closed-form bounds) run on the coordinator so an answer
-        can always be produced even when every worker is wedged.
+        Solver threads.  Exact solves run here; the memo replay and the
+        closed-form bounds run on the coordinator so an answer can always
+        be produced even when every worker is wedged.
     queue_limit:
         Maximum queries in flight before admission control sheds.
     default_deadline:
         Budget (seconds) for queries that do not carry their own.
     cache:
         Shared :class:`~repro.perf.SweepCache` holding validated exact
-        answers.  The exact rung looks a point up here before it solves
-        and replays a hit as ``exact`` (the values are bit-identical to
-        a fresh solve, and the key carries the solver schema version);
-        the ``cached`` rung replays the same entries when the exact rung
-        is skipped or fails.  A private one is created when omitted,
-        bounded by ``max_cache_entries`` and attached to the persistent
-        store the ``REPRO_STORE`` environment asks for (so validated
-        answers survive restarts).  A caller-supplied cache is used as-is.
+        answers.  The coordinator looks a point up here before anything
+        else and replays a hit as ``exact`` (the values are bit-identical
+        to a fresh solve, and the key carries the solver schema version);
+        only a miss reaches the breaker and a worker.  A private one is
+        created when omitted, bounded by ``max_cache_entries`` and
+        attached to the persistent store the ``REPRO_STORE`` environment
+        asks for (so validated answers survive restarts).  A
+        caller-supplied cache is used as-is.
     max_cache_entries:
         LRU bound for the private cache.  The service is the one
         long-lived cache owner in the codebase — unbounded, it would
@@ -126,7 +128,7 @@ class QueryService:
         Circuit breaker guarding the exact rung, keyed by
         :meth:`region_key`.
     retry_policy:
-        Backoff policy for transient worker faults inside a rung.
+        Backoff policy for transient worker faults inside the exact rung.
     """
 
     def __init__(
@@ -236,15 +238,14 @@ class QueryService:
     # The ladder coordinator
     # ----------------------------------------------------------------- #
 
-    async def _run_on_worker(
-        self, fn: Callable[[], Any], budget: DeadlineBudget, stage: str
-    ) -> Any:
-        """Run ``fn`` on a worker thread under the budget's remaining slice.
+    async def _run_on_worker(self, fn: Callable[[], Any], budget: DeadlineBudget) -> Any:
+        """Run the exact rung's ``fn`` on a worker thread under the budget's
+        remaining slice.
 
         A timed-out rung is *abandoned* (threads cannot be killed); the
-        coordinator keeps the reserve slice so cheaper rungs still fit.
+        coordinator keeps the reserve slice so the bound rung still fits.
         """
-        timeout = budget.require(LADDER_RESERVE, stage) - LADDER_RESERVE
+        timeout = budget.require(LADDER_RESERVE, "exact") - LADDER_RESERVE
         loop = asyncio.get_running_loop()
         future = loop.run_in_executor(self._executor, fn)
         # An abandoned rung may error long after we stopped listening;
@@ -257,10 +258,10 @@ class QueryService:
         return await asyncio.wait_for(asyncio.shield(future), timeout)
 
     def _retry_rung(
-        self, rung: Callable[[], _T], name: str, label: str,
+        self, rung: Callable[[], _T], label: str,
         budget: DeadlineBudget, note_retry: Callable[..., None],
     ) -> _T:
-        """Run one rung's solve, retrying injected worker crashes in budget."""
+        """Run the exact solve, retrying injected worker crashes in budget."""
         def attempt() -> _T:
             maybe_fault(label)
             return rung()
@@ -269,7 +270,7 @@ class QueryService:
             attempt,
             policy=self.retry_policy,
             retry_on=SimulatedWorkerCrash,
-            description=f"{name} solve for {label}",
+            description=f"exact solve for {label}",
             give_up_after=max(0.0, budget.remaining() - LADDER_RESERVE),
             on_retry=note_retry,
         )
@@ -359,27 +360,24 @@ class QueryService:
         region = self.region_key(query)
         key = F.answer_key(query)
 
-        def exact_or_replay() -> "tuple[dict[str, float], bool]":
-            # A validated answer for this point is what a fresh solve
-            # would return, bit for bit; replaying it skips only the solve.
-            replay = F.cached_rung(query, self.cache, key)
-            if replay is not None:
-                return replay, True
-            return F.exact_rung(query), False
-
-        # --- exact: QBD + contracts, breaker-guarded, budget-gated ----- #
+        # --- exact: a replay, or QBD + contracts, breaker-guarded ------ #
         started = budget.elapsed()
         record: "dict[str, Any]" = {"rung": "exact"}
+        # A validated answer for this point is what a fresh solve would
+        # return, bit for bit; replaying it skips the breaker, the budget
+        # gate and the worker, but not perturbation or validation.
+        replay = F.cached_rung(query, self.cache, key)
         try:
-            self.breaker.check(region)
-            budget.require(EXACT_MIN_BUDGET, "exact")
-            raw, replayed = await self._run_on_worker(
-                lambda: self._retry_rung(
-                    exact_or_replay, "exact", label, budget, note_retry
-                ),
-                budget,
-                "exact",
-            )
+            raw = replay
+            if raw is None:
+                self.breaker.check(region)
+                budget.require(EXACT_MIN_BUDGET, "exact")
+                raw = await self._run_on_worker(
+                    lambda: self._retry_rung(
+                        lambda: F.exact_rung(query), label, budget, note_retry
+                    ),
+                    budget,
+                )
             values = apply_perturbation(label, raw)
             F.validate_against_bounds(values, bounds)
         except (CircuitOpenError, DeadlineExceededError) as exc:
@@ -401,66 +399,12 @@ class QueryService:
             self.breaker.record_success(region)
             record["outcome"] = "accepted"
             record["elapsed"] = round(budget.elapsed() - started, 6)
-            if replayed:
+            if replay is not None:
                 record["replayed"] = True
             else:
                 F.store_answer(query, values, self.cache, key)
             attempts.append(record)
             return values, "exact"
-        record["elapsed"] = round(budget.elapsed() - started, 6)
-        attempts.append(record)
-
-        # --- cached: replay a validated exact answer ------------------- #
-        started = budget.elapsed()
-        record = {"rung": "cached"}
-        cached = F.cached_rung(query, self.cache, key) if not budget.expired else None
-        if cached is not None:
-            record["outcome"] = "accepted"
-            record["elapsed"] = round(budget.elapsed() - started, 6)
-            attempts.append(record)
-            return cached, "cached"
-        record.update(
-            outcome="skipped",
-            error={
-                "type": "CacheMiss" if not budget.expired else "DeadlineExceededError",
-                "message": "no stored exact answer for this point"
-                if not budget.expired
-                else "budget exhausted before cache lookup",
-            },
-        )
-        record["elapsed"] = round(budget.elapsed() - started, 6)
-        attempts.append(record)
-
-        # --- truncated: budget-sized chain approximation --------------- #
-        started = budget.elapsed()
-        record = {"rung": "truncated"}
-        try:
-            raw = await self._run_on_worker(
-                lambda: self._retry_rung(
-                    lambda: F.truncated_rung(query, budget.remaining()),
-                    "truncated", label, budget, note_retry,
-                ),
-                budget,
-                "truncated",
-            )
-            values = apply_perturbation(label, raw)
-            F.validate_against_bounds(values, bounds)
-        except DeadlineExceededError as exc:
-            record.update(outcome="skipped", error=_error_payload(exc))
-        except asyncio.TimeoutError:
-            record.update(
-                outcome="timeout",
-                error={"type": "RungTimeout", "message": "truncated rung abandoned"},
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # inapplicable (non-exp sizes) or faulty
-            record.update(outcome="failed", error=_error_payload(exc))
-        else:
-            record["outcome"] = "accepted"
-            record["elapsed"] = round(budget.elapsed() - started, 6)
-            attempts.append(record)
-            return values, "truncated"
         record["elapsed"] = round(budget.elapsed() - started, 6)
         attempts.append(record)
 

@@ -5,11 +5,10 @@ The contract under test (ISSUE 1): sweeping ``rho_s`` up to
 
 * produce a finite positive mean with a small solver residual (checked via
   the attached :class:`SolverDiagnostics`), or
-* raise a typed :class:`ReproError`, or
-* degrade to the truncated finite-level solver with a
-  :class:`NearBoundaryWarning` attached —
+* raise a typed :class:`ReproError` —
 
-never return garbage silently.
+never return garbage silently, and never an approximation in place of a
+failed exact solve.
 """
 
 import warnings
@@ -26,6 +25,7 @@ from repro.robustness import (
     ConvergenceError,
     NearBoundaryWarning,
     ReproError,
+    ValidationError,
 )
 
 #: Residual bound for "the solver says this number is trustworthy".
@@ -33,24 +33,19 @@ RESIDUAL_BOUND = 1e-7
 
 
 def _assert_trustworthy_or_typed(params: SystemParameters) -> None:
-    """The core invariant: finite + verified, degraded + warned, or typed."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    """The core invariant: finite + verified, or typed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearBoundaryWarning)
         try:
             analysis = CsCqAnalysis(params)
             mean = analysis.mean_response_time_short()
         except ReproError:
             return  # a typed failure is an acceptable outcome
     assert np.isfinite(mean) and mean > 0.0
-    if analysis.degraded:
-        assert any(
-            issubclass(w.category, NearBoundaryWarning) for w in caught
-        ), "degraded result must carry a NearBoundaryWarning"
-    else:
-        diag = analysis.solver_diagnostics
-        scale = max(1.0, 2.0 * params.mu_s + params.lam_s + params.lam_l)
-        assert diag.residual is not None and diag.residual < RESIDUAL_BOUND * scale
-        assert diag.spectral_radius is not None and diag.spectral_radius < 1.0
+    diag = analysis.solver_diagnostics
+    scale = max(1.0, 2.0 * params.mu_s + params.lam_s + params.lam_l)
+    assert diag.residual is not None and diag.residual < RESIDUAL_BOUND * scale
+    assert diag.spectral_radius is not None and diag.spectral_radius < 1.0
 
 
 class TestNearBoundarySweepExponential:
@@ -158,62 +153,40 @@ class TestNearBoundarySweepDedicated:
         _assert_policy_trustworthy_or_typed(lambda: DedicatedAnalysis(params))
 
 
-class TestGracefulDegradation:
-    """Force the exact solve to fail and verify the truncated fallback."""
+class TestFailedSolveRaises:
+    """A failed exact solve raises its typed error; nothing approximates."""
 
-    def _broken_solve(self, monkeypatch):
+    def test_edge_point_fails_its_boundary_gate(self):
+        # Case a at 1 - 1e-8 of the boundary: the boundary solve carries
+        # materially negative entries, so the negativity gate refuses it.
+        params = SystemParameters.from_loads(rho_s=(1.0 - 1e-8) * 1.5, rho_l=0.5)
+        analysis = CsCqAnalysis(params)
+        with pytest.raises(ValidationError):
+            analysis.mean_response_time_short()
+
+    @pytest.mark.parametrize(
+        "loads",
+        [
+            dict(rho_s=0.999 * 1.5, rho_l=0.5),
+            dict(rho_s=0.5, rho_l=0.5),
+            dict(rho_s=0.999 * 1.5, rho_l=0.5, mean_long=10.0, long_scv=8.0),
+        ],
+        ids=["near-boundary-exponential", "far-from-boundary", "coxian-longs"],
+    )
+    def test_forced_failure_raises_the_typed_error(self, monkeypatch, loads):
         def boom(self):
             raise ConvergenceError("forced failure for testing", residual=1.0)
 
         monkeypatch.setattr(qbd.QbdProcess, "solve", boom)
-
-    def test_fallback_engages_near_boundary(self, monkeypatch):
-        self._broken_solve(monkeypatch)
-        params = SystemParameters.from_loads(rho_s=0.999 * 1.5, rho_l=0.5)
-        with pytest.warns(NearBoundaryWarning):
-            analysis = CsCqAnalysis(params)
-            mean_short = analysis.mean_response_time_short()
-        assert analysis.degraded
-        assert np.isfinite(mean_short) and mean_short > 0.0
-        assert np.isfinite(analysis.mean_response_time_long())
-        diag = analysis.solver_diagnostics
-        assert diag.method == "truncated-fallback"
-        assert diag.degraded
-        assert any("truncation mass" in note for note in diag.notes)
-
-    def test_no_fallback_far_from_boundary(self, monkeypatch):
-        self._broken_solve(monkeypatch)
-        params = SystemParameters.from_loads(rho_s=0.5, rho_l=0.5)
-        analysis = CsCqAnalysis(params)
-        with pytest.raises(ConvergenceError):
-            analysis.mean_response_time_short()
-
-    def test_no_fallback_for_coxian_longs(self, monkeypatch):
-        # The truncated chain needs exponential sizes; Coxian longs must
-        # surface the typed error instead of degrading.
-        self._broken_solve(monkeypatch)
-        params = SystemParameters.from_loads(
-            rho_s=0.999 * 1.5, rho_l=0.5, mean_long=10.0, long_scv=8.0
-        )
-        analysis = CsCqAnalysis(params)
-        with pytest.raises(ConvergenceError):
-            analysis.mean_response_time_short()
-
-    def test_fallback_disabled_by_flag(self, monkeypatch):
-        self._broken_solve(monkeypatch)
-        params = SystemParameters.from_loads(rho_s=0.999 * 1.5, rho_l=0.5)
-        analysis = CsCqAnalysis(params, degrade_near_boundary=False)
-        with pytest.raises(ConvergenceError):
-            analysis.mean_response_time_short()
-
-    def test_solution_property_reraises_when_degraded(self, monkeypatch):
-        self._broken_solve(monkeypatch)
-        params = SystemParameters.from_loads(rho_s=0.999 * 1.5, rho_l=0.5)
-        with pytest.warns(NearBoundaryWarning):
-            analysis = CsCqAnalysis(params)
-            analysis.mean_response_time_short()
-        with pytest.raises(ConvergenceError):
-            _ = analysis.solution
+        analysis = CsCqAnalysis(SystemParameters.from_loads(**loads))
+        for accessor in (
+            analysis.mean_response_time_short,
+            analysis.mean_response_time_long,
+            lambda: analysis.solution,
+            lambda: analysis.solver_diagnostics,
+        ):
+            with pytest.raises(ConvergenceError):
+                accessor()
 
 
 class TestFigureSweepCompletes:
@@ -237,17 +210,17 @@ class TestFigureSweepCompletes:
         shorts_panel = panels[0]
         cs_cq = shorts_panel.by_label("CS-Central-Q")
         # Stable interior points must be finite; the extreme point may be
-        # finite (exact or degraded) or NaN (typed failure recorded) — but
-        # the sweep itself never crashes.
+        # finite or NaN (typed failure recorded) — but the sweep itself
+        # never crashes.
         assert np.isfinite(cs_cq.y[:2]).all()
 
     @pytest.mark.slow
     def test_figure6_sweep_with_forced_failures(self, monkeypatch):
         # Even when the exact QBD solve is broken outright, the sweep
-        # completes: near-boundary points degrade to the truncated solver,
-        # interior points surface as NaN via the warning path.  The exact
-        # solve has two entry points, the per-point one and the sweep
-        # prefetch's stacked one; break both.
+        # completes: interior and near-boundary points alike surface as
+        # NaN via the warning path.  The exact solve has two entry points,
+        # the per-point one and the sweep prefetch's stacked one; break
+        # both.
         def boom(self):
             raise ConvergenceError("forced failure for testing", residual=1.0)
 
@@ -268,4 +241,4 @@ class TestFigureSweepCompletes:
         shorts_panel = panels[0]
         cs_cq = shorts_panel.by_label("CS-Central-Q")
         assert np.isnan(cs_cq.y[0])  # interior: typed failure -> NaN
-        assert np.isfinite(cs_cq.y[1])  # near boundary: truncated fallback
+        assert np.isnan(cs_cq.y[1])  # near boundary: no fallback either

@@ -135,7 +135,7 @@ class TestGracefulDegradation:
         for i in range(2):
             answer = by_label[f"hang-{i}"]
             assert answer.status == "answered"
-            assert answer.fidelity in ("truncated", "bound")
+            assert answer.fidelity == "bound"
             assert answer.elapsed <= 0.8 + DEADLINE_SLACK
             assert answer.attempts[0]["outcome"] in ("timeout", "skipped")
 

@@ -116,22 +116,6 @@ class TestValidation:
 
 
 class TestRungs:
-    def test_truncated_rung_approximates_the_exact_cs_cq(self):
-        query = _query()
-        exact = F.exact_rung(query)
-        approx = F.truncated_rung(query)
-        assert approx["CS-CQ"] == pytest.approx(exact["CS-CQ"], rel=0.05)
-        assert math.isnan(approx["CS-ID"])  # honestly unavailable
-        assert approx["Dedicated"] == pytest.approx(exact["Dedicated"])
-
-    def test_truncated_rung_shrinks_with_the_budget(self):
-        # Tiny remaining budget selects the smallest truncation; the
-        # answer is coarser but still inside the certified bounds.
-        query = _query()
-        bounds = F.coarse_bounds(query)
-        small = F.truncated_rung(query, budget_remaining=0.0)
-        F.validate_against_bounds(small, bounds)
-
     def test_cached_rung_replays_only_stored_answers(self):
         query = _query()
         cache = SweepCache()
