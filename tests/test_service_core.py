@@ -252,18 +252,7 @@ class TestMemoizedExactRung:
         assert counts["misses"] >= len(points)
         assert len(cache) == len(points)
 
-    def test_worker_faults_never_reach_a_memoized_point(self):
-        reset_crash_counts()
-        cache = SweepCache()
-        with QueryService(workers=2, cache=cache, name="t") as service:
-            first = self._warm(service)
-            with inject_faults(
-                crash=["faulty-memo"], hang=["faulty-memo"], hang_seconds=1.0
-            ):
-                (answer,) = service.run_batch(
-                    [_query(label="faulty-memo", deadline=0.3)]
-                )
-        reset_crash_counts()
+    def _assert_replayed(self, answer, first):
         assert answer.fidelity == "exact"
         assert answer.retries == 0
         assert [(a["rung"], a["outcome"]) for a in answer.attempts] == [
@@ -271,6 +260,30 @@ class TestMemoizedExactRung:
         ]
         assert answer.attempts[0]["replayed"] is True
         assert answer.values == first.values
+
+    def test_crash_on_a_memoized_point_is_retried(self):
+        """A crash armed on a memoized point never fires: the replay comes
+        before any worker, so there is nothing to retry."""
+        reset_crash_counts()
+        cache = SweepCache()
+        with QueryService(workers=2, cache=cache, name="t") as service:
+            first = self._warm(service)
+            with inject_faults(crash=["crash-memo"]):
+                (answer,) = service.run_batch([_query(label="crash-memo")])
+        reset_crash_counts()
+        self._assert_replayed(answer, first)
+
+    def test_hang_on_a_memoized_point_falls_back_to_cached(self):
+        """A hang armed on a memoized point never fires: the exact rung
+        replays the memo well inside the deadline, with no fallback."""
+        cache = SweepCache()
+        with QueryService(workers=2, cache=cache, name="t") as service:
+            first = self._warm(service)
+            with inject_faults(hang=["hang-memo"], hang_seconds=1.0):
+                (answer,) = service.run_batch(
+                    [_query(label="hang-memo", deadline=0.3)]
+                )
+        self._assert_replayed(answer, first)
         assert answer.elapsed < 0.3
 
     def test_perturbed_replay_fails_the_exact_rung(self):
