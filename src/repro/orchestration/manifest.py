@@ -23,14 +23,19 @@ from ..robustness.atomic_write import atomic_write_json
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .runner import PointOutcome
 
-__all__ = ["RunManifest", "STATUSES"]
+__all__ = ["RunManifest", "STATUSES", "journal_diagnostics"]
 
 #: Every status a sweep point can end in.
 STATUSES = ("ok", "degraded", "suspect", "failed", "timeout")
 
 
 def _diagnostics_summary(diagnostics: "dict | None") -> "dict | None":
-    """Distill per-policy SolverDiagnostics dicts into ladder outcomes."""
+    """Distill per-policy SolverDiagnostics dicts into ladder outcomes.
+
+    Idempotent: a summary summarizes to itself, so a point resumed from a
+    trimmed journal line (:func:`journal_diagnostics`) yields the same
+    manifest ``ladder`` row as the fresh point did.
+    """
     if not isinstance(diagnostics, dict):
         return None
     summary = {}
@@ -39,11 +44,35 @@ def _diagnostics_summary(diagnostics: "dict | None") -> "dict | None":
             summary[name] = {
                 "method": diag.get("method"),
                 "degraded": bool(diag.get("degraded", False)),
-                "rungs_tried": len(diag.get("rungs", []) or []),
+                "rungs_tried": (
+                    diag["rungs_tried"]
+                    if "rungs_tried" in diag
+                    else len(diag.get("rungs", []) or [])
+                ),
+                "iterations": diag.get("iterations"),
                 "trust": diag.get("trust"),
                 "error_bound": diag.get("error_bound"),
             }
     return summary or None
+
+
+def journal_diagnostics(status: str, diagnostics: "dict | None") -> "dict | None":
+    """The diagnostics a point's journal line keeps.
+
+    An ``ok`` point whose every policy is ``trusted`` keeps only its
+    ladder summary; any other point keeps the full diagnostics, so a
+    questionable one can still be audited from the journal.
+    """
+    if status != "ok" or not diagnostics:
+        return diagnostics
+    summary = _diagnostics_summary(diagnostics)
+    if (
+        summary is None
+        or len(summary) != len(diagnostics)
+        or any(row["trust"] != "trusted" for row in summary.values())
+    ):
+        return diagnostics
+    return summary
 
 
 class RunManifest:
@@ -115,5 +144,9 @@ class RunManifest:
         return document
 
     def write(self) -> None:
-        """Persist the manifest atomically (safe to call repeatedly)."""
-        atomic_write_json(self.path, self.as_dict())
+        """Persist the manifest atomically (safe to call repeatedly).
+
+        Written compact (``indent=None``), which lets ``json`` use its C
+        encoder: the manifest is rewritten after every ``run()`` call.
+        """
+        atomic_write_json(self.path, self.as_dict(), indent=None)

@@ -86,7 +86,7 @@ from ..telemetry import (
 from . import faults
 from .checkpoint import CheckpointJournal
 from .deadline import DeadlineBudget
-from .manifest import STATUSES, RunManifest
+from .manifest import STATUSES, RunManifest, journal_diagnostics
 from .spec import SweepPoint, resolve_task
 
 __all__ = ["PointOutcome", "SweepRunner"]
@@ -340,7 +340,9 @@ class SweepRunner:
         and the sweep continues.  ``None`` disables reaping.
     journal_path:
         Location of the JSONL checkpoint journal.  Without one, nothing
-        is checkpointed (and ``resume`` has no effect).
+        is checkpointed (and ``resume`` has no effect).  Each completed
+        point appends a line; the file is fsynced once at the end of
+        every :meth:`run` call and on interruption.
     manifest_path:
         Location of the run manifest; written at the end of every
         :meth:`run` call and on interruption.
@@ -515,7 +517,9 @@ class SweepRunner:
                     "status": outcome.status,
                     "value": outcome.value,
                     "error": outcome.error,
-                    "diagnostics": outcome.diagnostics,
+                    "diagnostics": journal_diagnostics(
+                        outcome.status, outcome.diagnostics
+                    ),
                     "wall_time": outcome.wall_time,
                 }
             )
@@ -587,6 +591,14 @@ class SweepRunner:
         except Exception:
             pass
 
+    def _persist(self) -> None:
+        """End of a run() call: fsync the journal once, write the manifest."""
+        try:
+            if self.journal is not None:
+                self.journal.sync()
+        finally:
+            self._write_manifest()
+
     def _write_manifest(self) -> None:
         if self.manifest is not None:
             try:
@@ -648,7 +660,7 @@ class SweepRunner:
                 self._check_injected_abort(abort_at)
         finally:
             self._restore_signal_handlers(previous_handlers)
-            self._write_manifest()
+            self._persist()
         return outcomes
 
     def _run_pool(self, queue, outcomes, budget=None) -> "list[PointOutcome]":
@@ -747,7 +759,7 @@ class SweepRunner:
                 slot.shutdown()
         finally:
             self._restore_signal_handlers(previous_handlers)
-            self._write_manifest()
+            self._persist()
         return outcomes
 
     def _collect_payload(self, slot: _WorkerSlot) -> dict:
@@ -785,10 +797,11 @@ class SweepRunner:
     # Signal handling (pool and inline loops alike): the first signal only
     # sets a flag, checked between points; the run loop turns it into an
     # orderly teardown (every completed point's journal line is
-    # already appended and fsynced) and re-raises so the process exits
-    # with the conventional status.  A second signal before the loop has
-    # acted raises at once, so a long in-process point can still be
-    # stopped; the loop's ``finally`` writes the manifest either way.
+    # already appended) and re-raises so the process exits with the
+    # conventional status.  A second signal before the loop has acted
+    # raises at once, so a long in-process point can still be stopped;
+    # the loop's ``finally`` fsyncs the journal and writes the manifest
+    # either way.
 
     def _on_signal(self, signum, _frame) -> None:
         pending = self._signal is not None

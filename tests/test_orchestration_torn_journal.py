@@ -121,10 +121,28 @@ class TestRecordAfterTornLoad:
         journal = CheckpointJournal(path)
         journal.record({"key": "a"})
 
-        def full_disk(fd):
-            raise OSError(28, "No space left on device")
+        class FullDisk:
+            """A file handle whose write lands half the line, then fails."""
 
-        monkeypatch.setattr("repro.orchestration.checkpoint.os.fsync", full_disk)
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def write(self, data):
+                self._handle.write(data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            return FullDisk(open(file, mode, *args, **kwargs))
+
+        monkeypatch.setattr(
+            "repro.orchestration.checkpoint.open", full_disk_open, raising=False
+        )
         with pytest.raises(OSError):
             journal.record({"key": "b"})
         monkeypatch.undo()
@@ -133,6 +151,24 @@ class TestRecordAfterTornLoad:
         assert path.stat().st_ino != inode  # rewritten, not appended to
         reloaded = self._reload_clean(path)
         assert sorted(r["key"] for r in reloaded) == ["a", "b", "c"]
+
+    def test_failed_sync_compacts_on_next_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "journal.jsonl"
+        journal = CheckpointJournal(path)
+        journal.record({"key": "a"})
+
+        def full_disk(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("repro.orchestration.checkpoint.os.fsync", full_disk)
+        with pytest.raises(OSError):
+            journal.sync()
+        monkeypatch.undo()
+        inode = path.stat().st_ino
+        journal.record({"key": "b"})
+        assert path.stat().st_ino != inode  # rewritten, not appended to
+        reloaded = self._reload_clean(path)
+        assert sorted(r["key"] for r in reloaded) == ["a", "b"]
 
 
 class TestResumeAcrossTornJournal:
