@@ -40,6 +40,8 @@ __all__ = ["check_monotone_series", "point_dominance_results"]
 EXACT = 1e-8
 CONSISTENCY = 1e-5
 PROB_SLACK = 1e-9
+#: Levels per block of the tail-moment partial sum (a power of two).
+_TAIL_BLOCK = 256
 
 
 # --------------------------------------------------------------------- #
@@ -120,8 +122,14 @@ def _balance_residual(solution) -> "list[ContractResult] | None":
 )
 def _tail_moment(solution) -> "ContractResult | None":
     # The closed form is pi_b (I-R)^{-1}/(I-R)^{-2} algebra; the partial
-    # sum walks pi_b R^k level by level — an independent route to the same
-    # number, which is exactly what catches a mis-solved R or boundary.
+    # sum adds P(level = b+k) = pi_b R^k 1 level by level — an independent
+    # route to the same number, which is exactly what catches a mis-solved
+    # R or boundary.  It walks the tail in blocks of _TAIL_BLOCK levels:
+    # the columns R^k 1 for k < _TAIL_BLOCK are built once by doubling, so
+    # one block costs a vector-matrix product for its level masses and
+    # one multiply by R^_TAIL_BLOCK to reach the next block.  Level l is
+    # added while the mass before it is below 1 - 1e-13 and l < 200,000,
+    # so the last block stops at the level the rule names, not its end.
     sp_r = float(solution.tail_spectral_radius)
     if sp_r > 0.9995:  # partial sums would need ~1e5 levels; undecidable
         return None
@@ -132,15 +140,25 @@ def _tail_moment(solution) -> "ContractResult | None":
         contribution = float(vector.sum())
         partial += level * contribution
         mass += contribution
+    r = solution.r_matrix
+    columns = np.ones((r.shape[0], 1))
+    power = r
+    while columns.shape[1] < _TAIL_BLOCK:
+        columns = np.hstack([columns, power @ columns])
+        power = power @ power
+    offsets = np.arange(_TAIL_BLOCK)
     vector = np.array(solution.pi_repeat, dtype=float)
     level = solution.first_repeating_level
-    r = solution.r_matrix
     while mass < 1.0 - 1e-13 and level < 200_000:
-        contribution = float(vector.sum())
-        partial += level * contribution
-        mass += contribution
-        vector = vector @ r
-        level += 1
+        masses = vector @ columns
+        running = mass + np.cumsum(masses)
+        before = np.concatenate(([mass], running[:-1]))
+        keep = (before < 1.0 - 1e-13) & (level + offsets < 200_000)
+        count = _TAIL_BLOCK if keep.all() else int(np.argmin(keep))
+        partial += float((level + offsets[:count]) @ masses[:count])
+        mass = float(running[count - 1])
+        level += count
+        vector = vector @ power
     return ContractResult(
         name="tail-moment-consistency",
         passed=rel_diff(partial, closed) <= CONSISTENCY,

@@ -74,6 +74,7 @@ from ..robustness import (
     NearBoundaryWarning,
     ReproError,
 )
+from ..robustness.report import DIAGNOSTICS_KEYS
 from ..telemetry import (
     counter_inc,
     current_collector,
@@ -121,6 +122,21 @@ def _jsonable(obj: Any) -> Any:
         if isinstance(obj, (list, tuple)):
             return [_jsonable(v) for v in obj]
         return repr(obj)
+
+
+def _diagnostics_payload(diagnostics: dict) -> dict:
+    """A task's per-policy diagnostics, made JSON-ready for the journal.
+
+    Payloads built by :meth:`~repro.robustness.SolverDiagnostics.as_dict`
+    (recognized by their key set) are JSON-ready by construction and pass
+    through as they are; anything else goes through :func:`_jsonable`.
+    """
+    if all(
+        isinstance(diag, dict) and diag.keys() == DIAGNOSTICS_KEYS
+        for diag in diagnostics.values()
+    ):
+        return diagnostics
+    return _jsonable(diagnostics)
 
 
 def _error_payload(exc: BaseException) -> dict:
@@ -240,7 +256,7 @@ def _classify_point(spec: dict) -> dict:
     return {
         "status": status,
         "value": value,
-        "diagnostics": _jsonable(diagnostics) if diagnostics else None,
+        "diagnostics": _diagnostics_payload(diagnostics) if diagnostics else None,
         "wall_time": time.perf_counter() - start,
     }
 

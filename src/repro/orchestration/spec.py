@@ -101,7 +101,9 @@ class SweepPoint:
     """One unit of sweep work: a task name plus serializable kwargs.
 
     ``label`` is purely cosmetic (progress lines, manifests, fault-
-    injection matching); identity is the content hash of ``(task, kwargs)``.
+    injection matching); identity is the content hash of ``(task, kwargs)``,
+    hashed once per :data:`SCHEMA_VERSION` and kept, so ``kwargs`` must not
+    be mutated once the point exists.
     """
 
     task: str
@@ -111,7 +113,11 @@ class SweepPoint:
     @property
     def key(self) -> str:
         """Content hash identifying this point in the checkpoint journal."""
-        return point_key(self.task, self.kwargs)
+        cached = self.__dict__.get("_key")
+        if cached is None or cached[0] != SCHEMA_VERSION:
+            cached = (SCHEMA_VERSION, point_key(self.task, self.kwargs))
+            self.__dict__["_key"] = cached  # frozen: bypass __setattr__
+        return cached[1]
 
     def as_spec(self) -> dict:
         """Plain-dict form shipped to the worker subprocess."""

@@ -23,6 +23,7 @@ from repro.robustness import (
     ReproError,
     ValidationError,
 )
+from repro.workloads import case_by_name
 
 
 @pytest.fixture(scope="module")
@@ -365,3 +366,149 @@ class TestSimulationContracts:
         results = evaluate("simulation", broken, params=moderate_params)
         failed = {r.name for r in results if not r.passed}
         assert "sim-response-decomposition-short" in failed
+
+
+def _per_level_tail_moment(solution):
+    """Reference for ``tail-moment-consistency``: the plain level-by-level
+    loop (one ``vector @ R`` per level) with the same stop rule and cap.
+    Returns ``(partial, closed, level, mass)``, or None above the cut-off."""
+    import numpy as np
+
+    if float(solution.tail_spectral_radius) > 0.9995:
+        return None
+    partial = 0.0
+    mass = 0.0
+    for level, vector in enumerate(solution.boundary_pi):
+        contribution = float(vector.sum())
+        partial += level * contribution
+        mass += contribution
+    vector = np.array(solution.pi_repeat, dtype=float)
+    level = solution.first_repeating_level
+    while mass < 1.0 - 1e-13 and level < 200_000:
+        contribution = float(vector.sum())
+        partial += level * contribution
+        mass += contribution
+        vector = vector @ solution.r_matrix
+        level += 1
+    return partial, solution.mean_level(), level, mass
+
+
+def _tail_result(solution):
+    results = evaluate("solution", solution, names=["tail-moment-consistency"])
+    return results[0] if results else None
+
+
+def _summed_levels(result):
+    return int(result.detail.split()[1])
+
+
+@pytest.fixture(scope="module")
+def sweep_solutions():
+    """Every QBD solution of a default figure 6 grid (Coxian longs, C^2 = 8:
+    sp(R) up to about 0.999) plus a few figure 4 and 5 points."""
+    import numpy as np
+
+    from repro.experiments.figures import (
+        figure4_panels,
+        figure5_panels,
+        figure6_panels,
+    )
+    from repro.perf import sweep_cache
+
+    solutions = {}
+    for name, run in (
+        ("figure 6", lambda: figure6_panels()),
+        ("figure 4", lambda: figure4_panels(rho_s_values=[0.3, 1.2, 1.45])),
+        ("figure 5", lambda: figure5_panels(rho_s_values=[0.6, 1.4])),
+    ):
+        with sweep_cache() as cache:
+            run()
+            solutions[name] = cache.values("analysis-solution")
+    assert len(solutions["figure 6"]) >= 50
+    assert max(s.tail_spectral_radius for s in solutions["figure 6"]) > 0.998
+    assert all(np.isfinite(s.tail_spectral_radius) for v in solutions.values() for s in v)
+    return solutions
+
+
+class TestTailMomentWalk:
+    """The blocked tail walk of ``tail-moment-consistency`` against the
+    plain per-level loop it replaces."""
+
+    @pytest.mark.parametrize("figure", ["figure 6", "figure 4", "figure 5"])
+    def test_matches_per_level_loop(self, sweep_solutions, figure):
+        for solution in sweep_solutions[figure]:
+            reference = _per_level_tail_moment(solution)
+            result = _tail_result(solution)
+            if reference is None:
+                assert result is None
+                continue
+            partial, closed, _, _ = reference
+            assert result.passed == (rel_diff(partial, closed) <= result.tolerance)
+            assert result.passed
+            assert rel_diff(result.observed, partial) <= 1e-9
+            assert result.expected == closed
+
+    def test_near_cutoff_point_is_walked(self):
+        # sp(R) = 0.99946, just below the cut-off: about 60,000 levels.
+        params = case_by_name("a").params(0.9993 * 1.5, 0.5)
+        solution = CsCqAnalysis(params).solution
+        assert 0.999 < solution.tail_spectral_radius <= 0.9995
+        partial, _, level, _ = _per_level_tail_moment(solution)
+        result = _tail_result(solution)
+        assert result.passed
+        assert rel_diff(result.observed, partial) <= 1e-9
+        assert abs(_summed_levels(result) - level) < 1_000
+
+    def test_above_cutoff_returns_none(self):
+        params = case_by_name("a").params(0.9995 * 1.5, 0.5)
+        solution = CsCqAnalysis(params).solution
+        assert 0.9995 < solution.tail_spectral_radius < 0.9997
+        assert _tail_result(solution) is None
+
+    def test_mass_short_of_one_stops_at_the_level_cap(self, moderate_analysis):
+        import dataclasses
+
+        solution = moderate_analysis.solution
+        scale = 1.0 - 1e-10
+        short = dataclasses.replace(
+            solution,
+            boundary_pi=[v * scale for v in solution.boundary_pi],
+            pi_repeat=solution.pi_repeat * scale,
+        )
+        # The cap falls inside a block, so the walk must stop mid-block.
+        assert (200_000 - short.first_repeating_level) % 256 != 0
+        result = _tail_result(short)
+        partial, _, level, mass = _per_level_tail_moment(short)
+        assert level == 200_000
+        assert _summed_levels(result) == 200_000
+        assert mass < 1.0 - 1e-13
+        assert result.passed
+        assert rel_diff(result.observed, partial) <= 1e-9
+
+    def test_forged_solutions_are_rejected_on_store_read(
+        self, moderate_analysis, tmp_path, monkeypatch
+    ):
+        import dataclasses
+
+        from repro.perf.store import ResultStore
+        from repro.robustness import StoreCorruptionError
+
+        monkeypatch.delenv("REPRO_NO_CONTRACTS", raising=False)
+        solution = moderate_analysis.solution
+        store = ResultStore(tmp_path / "store")
+        forged = {
+            "pi": dataclasses.replace(solution, pi_repeat=solution.pi_repeat * 3.0),
+            "r": dataclasses.replace(solution, r_matrix=solution.r_matrix * 0.99),
+        }
+        # In memory the forged R leaves (I - R)^{-1}, and so the mass, as
+        # solved: only the level-by-level walk sees that R does not match.
+        (normalization,) = evaluate(
+            "solution", forged["r"], names=["stationary-normalization"]
+        )
+        assert normalization.passed
+        for key, value in forged.items():
+            assert not _tail_result(value).passed
+            store.put("analysis-solution", key, value)
+            with pytest.raises(StoreCorruptionError) as excinfo:
+                store.get("analysis-solution", key)
+            assert excinfo.value.reason == "contract-violation"

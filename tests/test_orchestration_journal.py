@@ -1,10 +1,12 @@
-"""Journal cost: one fsync per run() call, trimmed lines for trusted points."""
+"""Journal cost: one fsync per run() call, trimmed lines for trusted points,
+one key hash and no serializability probe per point."""
 
 import json
 import os
 import warnings
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.experiments.figures import figure4_panels
@@ -184,3 +186,69 @@ class TestTrimmedLines:
             for policy, row in (ladder or {}).items()
             if policy == "CS-Central-Q"
         )
+
+
+@register_task("test-raw-diagnostics-point")
+def _raw_diagnostics_point(x):
+    # Not an as_dict() payload: a numpy scalar the journal cannot encode.
+    return {"values": {"y": x}, "diagnostics": {"CS-CQ": {"iterations": np.int64(3)}}}
+
+
+class TestPerPointBookkeeping:
+    def test_each_point_key_is_hashed_once(self, tmp_path, monkeypatch):
+        from repro.orchestration import spec
+
+        calls = []
+        real_point_key = spec.point_key
+
+        def spy(task, kwargs):
+            calls.append(task)
+            return real_point_key(task, kwargs)
+
+        monkeypatch.setattr(spec, "point_key", spy)
+        points = [
+            SweepPoint(task="demo-point", kwargs={"x": i}, label=f"demo/x={i}")
+            for i in range(5)
+        ]
+        runner = SweepRunner(
+            workers=0, journal_path=tmp_path / "j.jsonl", manifest_path=tmp_path / "m.json"
+        )
+        runner.run(points)
+        assert len(calls) == len(points)
+        assert [p.key for p in points] == [real_point_key(p.task, p.kwargs) for p in points]
+        assert len(calls) == len(points)
+
+    def test_as_dict_diagnostics_skip_the_serializability_probe(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.orchestration import runner as runner_module
+
+        probed = []
+        real_jsonable = runner_module._jsonable
+
+        def spy(obj):
+            probed.append(obj)
+            return real_jsonable(obj)
+
+        monkeypatch.setattr(runner_module, "_jsonable", spy)
+        journal_path = tmp_path / "j.jsonl"
+        points = [
+            _response_point(0.3),
+            SweepPoint(task="test-trust-point", kwargs={"x": 1, "trust": "suspect"},
+                       label="not-trusted"),
+        ]
+        outcomes = SweepRunner(workers=0, journal_path=journal_path).run(points)
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+        assert probed == []
+        # The not-trusted point journals its as_dict() payloads in full.
+        lines = _journal_lines(journal_path)
+        assert lines["not-trusted"]["diagnostics"] == outcomes[1].diagnostics
+
+    def test_other_diagnostics_still_go_through_the_probe(self, tmp_path):
+        journal_path = tmp_path / "j.jsonl"
+        point = SweepPoint(task="test-raw-diagnostics-point", kwargs={"x": 1},
+                           label="raw")
+        (outcome,) = SweepRunner(workers=0, journal_path=journal_path).run([point])
+        assert outcome.status == "ok"
+        assert outcome.diagnostics == {"CS-CQ": {"iterations": repr(np.int64(3))}}
+        assert _journal_lines(journal_path)["raw"]["diagnostics"] == outcome.diagnostics
