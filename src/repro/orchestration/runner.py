@@ -74,7 +74,6 @@ from ..robustness import (
     NearBoundaryWarning,
     ReproError,
 )
-from ..robustness.report import DIAGNOSTICS_KEYS
 from ..telemetry import (
     counter_inc,
     current_collector,
@@ -122,21 +121,6 @@ def _jsonable(obj: Any) -> Any:
         if isinstance(obj, (list, tuple)):
             return [_jsonable(v) for v in obj]
         return repr(obj)
-
-
-def _diagnostics_payload(diagnostics: dict) -> dict:
-    """A task's per-policy diagnostics, made JSON-ready for the journal.
-
-    Payloads built by :meth:`~repro.robustness.SolverDiagnostics.as_dict`
-    (recognized by their key set) are JSON-ready by construction and pass
-    through as they are; anything else goes through :func:`_jsonable`.
-    """
-    if all(
-        isinstance(diag, dict) and diag.keys() == DIAGNOSTICS_KEYS
-        for diag in diagnostics.values()
-    ):
-        return diagnostics
-    return _jsonable(diagnostics)
 
 
 def _error_payload(exc: BaseException) -> dict:
@@ -256,7 +240,9 @@ def _classify_point(spec: dict) -> dict:
     return {
         "status": status,
         "value": value,
-        "diagnostics": _diagnostics_payload(diagnostics) if diagnostics else None,
+        # No serializability probe: the journal and manifest encoders fall
+        # back to repr for any value JSON cannot hold.
+        "diagnostics": diagnostics or None,
         "wall_time": time.perf_counter() - start,
     }
 

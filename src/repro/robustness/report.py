@@ -13,15 +13,7 @@ from typing import Optional
 
 from .retry import RungAttempt
 
-__all__ = ["DIAGNOSTICS_KEYS", "SolverDiagnostics"]
-
-
-def _number(value) -> Optional[float]:
-    return None if value is None else float(value)
-
-
-def _count(value) -> Optional[int]:
-    return None if value is None else int(value)
+__all__ = ["SolverDiagnostics"]
 
 
 @dataclass(frozen=True)
@@ -112,35 +104,25 @@ class SolverDiagnostics:
         return {attempt.name: attempt.iterations for attempt in self.rungs}
 
     def as_dict(self) -> dict:
-        """Flat dict form (rungs rendered as strings) for logs and tables.
-
-        JSON-ready by construction: every value is a ``str``, ``bool``,
-        ``int``, ``float``, ``None`` or a list/dict of them (numpy scalars
-        are converted), so sweep journals encode it without a probe.  The
-        key set is always :data:`DIAGNOSTICS_KEYS`.
-        """
+        """Flat dict form (rungs rendered as strings) for logs and tables."""
         return {
-            "method": str(self.method),
+            "method": self.method,
             "rungs": [attempt.describe() for attempt in self.rungs],
-            "rung_iterations": {
-                name: _count(count) for name, count in self.rung_iterations.items()
-            },
-            "residual": _number(self.residual),
-            "spectral_radius": _number(self.spectral_radius),
-            "condition_i_minus_r": _number(self.condition_i_minus_r),
-            "boundary_residual": _number(self.boundary_residual),
-            "iterations": _count(self.iterations),
-            "wall_time": _number(self.wall_time),
-            "cache_hit": bool(self.cache_hit),
-            "degraded": bool(self.degraded),
-            "notes": [str(note) for note in self.notes],
-            "condition_estimate": _number(self.condition_estimate),
-            "error_bound": _number(self.error_bound),
-            "trust": None if self.trust is None else str(self.trust),
-            "escalated": bool(self.escalated),
-            "error_bound_before_escalation": _number(
-                self.error_bound_before_escalation
-            ),
+            "rung_iterations": self.rung_iterations,
+            "residual": self.residual,
+            "spectral_radius": self.spectral_radius,
+            "condition_i_minus_r": self.condition_i_minus_r,
+            "boundary_residual": self.boundary_residual,
+            "iterations": self.iterations,
+            "wall_time": self.wall_time,
+            "cache_hit": self.cache_hit,
+            "degraded": self.degraded,
+            "notes": list(self.notes),
+            "condition_estimate": self.condition_estimate,
+            "error_bound": self.error_bound,
+            "trust": self.trust,
+            "escalated": self.escalated,
+            "error_bound_before_escalation": self.error_bound_before_escalation,
         }
 
     def summary(self, indent: str = "") -> str:
@@ -169,7 +151,3 @@ class SolverDiagnostics:
         for note in self.notes:
             lines.append(f"{indent}  note: {note}")
         return "\n".join(lines)
-
-
-#: The keys of every :meth:`SolverDiagnostics.as_dict` payload.
-DIAGNOSTICS_KEYS = frozenset(SolverDiagnostics(method="").as_dict())

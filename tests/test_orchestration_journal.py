@@ -218,9 +218,7 @@ class TestPerPointBookkeeping:
         assert [p.key for p in points] == [real_point_key(p.task, p.kwargs) for p in points]
         assert len(calls) == len(points)
 
-    def test_as_dict_diagnostics_skip_the_serializability_probe(
-        self, tmp_path, monkeypatch
-    ):
+    def test_diagnostics_skip_the_serializability_probe(self, tmp_path, monkeypatch):
         from repro.orchestration import runner as runner_module
 
         probed = []
@@ -236,19 +234,27 @@ class TestPerPointBookkeeping:
             _response_point(0.3),
             SweepPoint(task="test-trust-point", kwargs={"x": 1, "trust": "suspect"},
                        label="not-trusted"),
+            SweepPoint(task="test-raw-diagnostics-point", kwargs={"x": 1}, label="raw"),
         ]
         outcomes = SweepRunner(workers=0, journal_path=journal_path).run(points)
-        assert [o.status for o in outcomes] == ["ok", "ok"]
+        assert [o.status for o in outcomes] == ["ok", "ok", "ok"]
         assert probed == []
         # The not-trusted point journals its as_dict() payloads in full.
         lines = _journal_lines(journal_path)
         assert lines["not-trusted"]["diagnostics"] == outcomes[1].diagnostics
 
-    def test_other_diagnostics_still_go_through_the_probe(self, tmp_path):
+    def test_non_json_diagnostics_reach_the_journal_as_repr(self, tmp_path):
+        from repro.orchestration.runner import _jsonable
+
         journal_path = tmp_path / "j.jsonl"
         point = SweepPoint(task="test-raw-diagnostics-point", kwargs={"x": 1},
                            label="raw")
         (outcome,) = SweepRunner(workers=0, journal_path=journal_path).run([point])
         assert outcome.status == "ok"
-        assert outcome.diagnostics == {"CS-CQ": {"iterations": repr(np.int64(3))}}
-        assert _journal_lines(journal_path)["raw"]["diagnostics"] == outcome.diagnostics
+        assert outcome.diagnostics == {"CS-CQ": {"iterations": np.int64(3)}}
+        journaled = _journal_lines(journal_path)["raw"]["diagnostics"]
+        assert journaled == {"CS-CQ": {"iterations": repr(np.int64(3))}}
+        # The encoder's repr fallback gives the bytes the probe used to.
+        assert json.dumps(journaled, sort_keys=True) == json.dumps(
+            _jsonable(outcome.diagnostics), sort_keys=True
+        )
