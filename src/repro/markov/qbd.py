@@ -127,19 +127,19 @@ def _assess_trust(
     square: np.ndarray,
     boundary_residual: np.ndarray,
     boundary_scale: np.ndarray,
-    r: np.ndarray,
+    cond_i_minus_r: np.ndarray,
     r_residual: "float | np.ndarray",
     r_scale: "float | np.ndarray",
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(condition_estimate, error_bound)`` over a stack of solves.
 
-    ``square`` and ``r`` are ``(N, n, n)`` and ``(N, m, m)`` stacks, the
-    residuals and scales ``(N,)`` arrays or scalars; a single solve is a
-    stack of one, so every point carries the same verdict whichever path
-    solved it.
+    ``square`` is an ``(N, n, n)`` stack of boundary systems (each
+    inverted once for its cond₁), ``cond_i_minus_r`` the ``(N,)`` cond₁
+    of ``I - R`` the tail gates read, the residuals and scales ``(N,)``
+    arrays or scalars; a single solve is a stack of one, so every point
+    carries the same verdict whichever path solved it.
     """
     cond_boundary = condest_1(square)
-    cond_i_minus_r = condest_1(np.eye(r.shape[-1]) - r)
     bound = compose_bound(
         cond_boundary,
         boundary_residual,
@@ -712,6 +712,9 @@ class _Solved(NamedTuple):
     #: ``(I - R)^{-1}`` per slice: the inverse the normalization row used.
     i_minus_r_inv: np.ndarray
     failures: list
+    #: Exact cond₁(I - R) per slice, from ``i_minus_r_inv``: the one value
+    #: the trust bound, the tail gates and the diagnostics all read.
+    condition: np.ndarray
     balance: Optional[np.ndarray] = None
     condition_estimate: Optional[np.ndarray] = None
     error_bound: Optional[np.ndarray] = None
@@ -719,7 +722,6 @@ class _Solved(NamedTuple):
     #: Set when this stage is the precision-escalation rung's result.
     error_bound_before_escalation: Optional[np.ndarray] = None
     spectral_radius: Optional[np.ndarray] = None
-    condition: Optional[np.ndarray] = None
     warnings: Optional[list] = None
 
 
@@ -754,35 +756,35 @@ def _boundary_stage(
             )
         except ValidationError as exc:
             failures[j] = exc
+    condition = condest_1(np.eye(r.shape[-1]) - r, inv)
     cond_est, bound = np.full((2, len(pi)), np.nan)
     good = np.flatnonzero([failure is None for failure in failures])
     if good.size:
         cond_est[good], bound[good] = _assess_trust(
-            square[good], balance[good], scale[good], r[good], r_residual[good], r_scale[good]
+            square[good], balance[good], scale[good],
+            condition[good], r_residual[good], r_scale[good],
         )
     levels = [[row[offsets[i] : offsets[i] + dims[i]] for i in range(len(dims))] for row in pi]
     return _Solved(
-        r, r_residual, levels, inv, failures, balance, cond_est, bound, trust_verdicts(bound)
+        r, r_residual, levels, inv, failures, condition, balance, cond_est, bound,
+        trust_verdicts(bound),
     )
 
 
 def _gate_tail(
     solved: _Solved, spectral_radius: Optional[np.ndarray] = None, normalization: bool = True
 ) -> _Solved:
-    """Derive ``sp(R)`` (unless given) and ``cond(I - R)`` (one SVD per
-    slice), and gate the slices that passed the boundary gates: ``sp(R) <
-    1``, the cond error and warn bands, then (if ``normalization``) the
-    total mass."""
+    """Derive ``sp(R)`` (unless given) and gate the slices that passed the
+    boundary gates: ``sp(R) < 1``, the error and warn bands of the stage's
+    cond₁(I - R), then (if ``normalization``) the total mass."""
     r = solved.r
     if spectral_radius is None:
         spectral_radius = np.abs(np.linalg.eigvals(r)).max(axis=1)
-    try:
-        condition = np.linalg.cond(np.eye(r.shape[-1]) - r)
-    except np.linalg.LinAlgError:
-        condition = np.full(len(r), np.inf)
     failures = list(solved.failures)
     near_boundary: list = [None] * len(r)
-    tails = zip(solved.levels, solved.i_minus_r_inv, spectral_radius.tolist(), condition.tolist())
+    tails = zip(
+        solved.levels, solved.i_minus_r_inv, spectral_radius.tolist(), solved.condition.tolist()
+    )
     for j, (levels, inverse, sp, cond) in enumerate(tails):
         if failures[j] is not None:
             continue
@@ -802,8 +804,7 @@ def _gate_tail(
                 "QBD normalization failed", total_mass=mass, spectral_radius=sp, condition_number=cond
             )
     return solved._replace(
-        failures=failures, warnings=near_boundary,
-        spectral_radius=spectral_radius, condition=condition,
+        failures=failures, warnings=near_boundary, spectral_radius=spectral_radius
     )
 
 
@@ -894,15 +895,17 @@ def restore_solution(
     diagnostics: Optional[SolverDiagnostics],
     spectral_radius: Optional[float] = None,
 ) -> "QbdSolution":
-    """A stored solution: ``(I - R)^{-1}`` and ``cond(I - R)`` re-derived
+    """A stored solution: ``(I - R)^{-1}`` and cond₁(I - R) re-derived
     from its R, and the ``sp(R)`` and cond gates of a solve re-run on them
     (the store's contracts check normalization).  Bit-identical inputs
     give back the original attribute for attribute."""
     r = r_matrix[None]
-    inv = np.linalg.inv(np.eye(r.shape[-1]) - r)
+    i_minus_r = np.eye(r.shape[-1]) - r
+    inv = np.linalg.inv(i_minus_r)
     known = None if spectral_radius is None else np.array([spectral_radius])
     levels = [[*boundary_pi, pi_repeat]]
-    solved = _gate_tail(_Solved(r, None, levels, inv, [None]), known, normalization=False)
+    solved = _Solved(r, None, levels, inv, [None], condest_1(i_minus_r, inv))
+    solved = _gate_tail(solved, known, normalization=False)
     _raise_failed_gate(solved)
     return QbdSolution(
         boundary_pi, pi_repeat, r_matrix, first_repeating_level,
@@ -928,7 +931,8 @@ class QbdSolution:
     r_matrix:
         The rate matrix of the geometric tail.
     tail_spectral_radius, condition_i_minus_r, i_minus_r_inv:
-        ``sp(R)`` (below 1), ``cond(I - R)`` and ``(I - R)^{-1}``.
+        ``sp(R)`` (below 1), the exact 1-norm condition number of
+        ``I - R`` and ``(I - R)^{-1}``.
     diagnostics:
         :class:`SolverDiagnostics` of the solve that produced this solution.
     """

@@ -62,7 +62,6 @@ from .errors import (
     ValidationError,
 )
 from .guards import (
-    condition_number,
     conditioning_outcome,
     ensure_finite_array,
     ensure_finite_scalar,
@@ -132,7 +131,6 @@ __all__ = [
     "atomic_write_jsonl",
     "atomic_write_text",
     "conditioning_outcome",
-    "condition_number",
     "ensure_finite_array",
     "ensure_finite_scalar",
     "ensure_no_material_negatives",

@@ -21,7 +21,6 @@ __all__ = [
     "ensure_finite_array",
     "ensure_rate_block",
     "ensure_no_material_negatives",
-    "condition_number",
     "spectral_radius",
     "conditioning_outcome",
 ]
@@ -107,14 +106,6 @@ def ensure_no_material_negatives(
             **context,
         )
     return np.clip(vec, 0.0, None)
-
-
-def condition_number(matrix: np.ndarray) -> float:
-    """2-norm condition number; ``inf`` for singular matrices."""
-    try:
-        return float(np.linalg.cond(matrix))
-    except np.linalg.LinAlgError:
-        return float("inf")
 
 
 def spectral_radius(matrix: np.ndarray) -> float:

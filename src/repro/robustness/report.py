@@ -34,8 +34,10 @@ class SolverDiagnostics:
         ``sp(R)`` — the chain's effective utilization; response times
         diverge as it approaches 1.
     condition_i_minus_r:
-        ``cond(I - R)``; large values mean the geometric-tail sums carry
-        reduced accuracy.
+        Exact 1-norm ``cond(I - R)``, from the ``(I - R)^{-1}`` the solve
+        holds: the value the conditioning gate and the error bound both
+        read.  Large values mean the geometric-tail sums carry reduced
+        accuracy.
     boundary_residual:
         Balance residual of the finite boundary linear solve, when one ran.
     iterations:
@@ -55,8 +57,8 @@ class SolverDiagnostics:
     notes:
         Free-form annotations.
     condition_estimate:
-        1-norm condition estimate of the worst linear stage behind this
-        result (boundary system vs ``I - R``), from
+        Exact 1-norm condition number of the worst linear stage behind
+        this result (boundary system vs ``I - R``), from
         :func:`~repro.robustness.trust.condest_1`.
     error_bound:
         Composed first-order forward error bound

@@ -27,19 +27,19 @@ The bound composes per point as
     ``bound = cond(B) * (res_B / scale_B + u)
             + K_TAIL * cond(I - R) * (res_R / scale_R + u)``
 
-where ``B`` is the boundary system, ``res_*`` the accepted residuals,
-``u`` float64 unit roundoff, and ``K_TAIL`` accounts for the response-
-time formulas applying ``(I - R)^{-1}`` up to the third power.  This is
-classic backward-error-times-condition-number reasoning (Higham 2002,
-ch. 7): cheap, first-order, and deliberately *pessimistic* — a verdict
-may cry wolf, it must never stay silent.
+where ``cond`` is the exact 1-norm condition number (:func:`condest_1`,
+from the inverses the solve holds), ``B`` the boundary system, ``res_*``
+the accepted residuals, ``u`` float64 unit roundoff, and ``K_TAIL``
+accounts for the response-time formulas applying ``(I - R)^{-1}`` up to
+the third power.  This is classic backward-error-times-condition-number
+reasoning (Higham 2002, ch. 7): cheap, first-order, and deliberately
+*pessimistic* — a verdict may cry wolf, it must never stay silent.
 
 Everything here is elementwise numpy over an optional leading stack
 axis: the scalar solver calls with single matrices, the sweep prefetch
 (:mod:`repro.perf.batched`) with ``(N, n, n)`` stacks, and both run the
-*identical* arithmetic (same fixed sweep count, same per-slice LAPACK
-dispatch), so scalar and batched verdicts are bit-identical by
-construction.
+*identical* arithmetic (the same per-slice LAPACK dispatch), so scalar
+and batched verdicts are bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -80,66 +80,54 @@ K_TAIL = 3.0
 #: Unit roundoff of the working precision.
 _UNIT_ROUNDOFF = float(np.finfo(float).eps)
 
-#: Fixed Hager/Higham sweep count.  The classical estimator early-exits
-#: per matrix once the estimate stops growing; a *fixed* count with a
-#: running max is equally valid (the estimate is monotone nondecreasing)
-#: and keeps the scalar and batched paths on the identical arithmetic.
-_CONDEST_SWEEPS = 4
+
+def _norm_1(a: np.ndarray) -> np.ndarray:
+    """Per-slice matrix 1-norm (max column abs sum) of an ``(N, n, n)`` stack."""
+    return np.abs(a).sum(axis=1).max(axis=-1)
 
 
-def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-slice ``solve(a[i], b[i])`` with singular slices -> +inf rows.
+def _inv_stack(a: np.ndarray) -> np.ndarray:
+    """Per-slice inverse with singular slices -> all-``inf`` inverses.
 
-    Batched ``np.linalg.solve`` raises if *any* slice is singular, which
+    Batched ``np.linalg.inv`` raises if *any* slice is singular, which
     would poison the healthy slices of a stack; fall back to a per-slice
-    loop so a singular system degrades to an infinite condition estimate
-    for that slice only.
+    loop so a singular matrix gets an infinite condition number for that
+    slice only.
     """
     try:
-        return np.linalg.solve(a, b[..., None])[..., 0]
+        return np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        out = np.empty_like(b)
+        out = np.full_like(a, np.inf)
         for i in range(a.shape[0]):
             try:
-                out[i] = np.linalg.solve(a[i], b[i][..., None])[..., 0]
+                out[i] = np.linalg.inv(a[i])
             except np.linalg.LinAlgError:
-                out[i] = np.inf
+                pass
         return out
 
 
-def condest_1(a: np.ndarray) -> "float | np.ndarray":
-    """LAPACK-style 1-norm condition estimate (Hager/Higham power sweeps).
+def condest_1(
+    a: np.ndarray, a_inv: "Optional[np.ndarray]" = None
+) -> "float | np.ndarray":
+    """Exact 1-norm condition number ``||A||_1 * ||A^{-1}||_1``.
 
     Accepts one ``(n, n)`` matrix or an ``(N, n, n)`` stack; returns a
-    float or an ``(N,)`` array.  Cost is ``2 * _CONDEST_SWEEPS`` linear
-    solves per slice — O(n^3) once for the factorization-equivalent work
-    versus the O(n^3) SVD behind ``np.linalg.cond``, but with a tiny
-    constant at the block sizes QBD chains produce.  Non-finite inputs
-    and singular slices estimate to ``inf``.
+    float or an ``(N,)`` array.  ``a_inv`` is the inverse when the caller
+    already holds it (the QBD solve's ``(I - R)^{-1}``), so no inversion
+    runs; otherwise each slice is inverted once.  Non-finite inputs and
+    singular slices give ``inf``.
     """
     a = np.asarray(a, dtype=float)
     squeeze = a.ndim == 2
     if squeeze:
         a = a[None]
-    n_pts, n = a.shape[0], a.shape[-1]
     finite = np.isfinite(a).all(axis=(1, 2))
-    norm_a = np.where(finite, np.abs(a).sum(axis=1).max(axis=-1), np.inf)
-    a_safe = np.where(finite[:, None, None], a, np.eye(n))
-    at = np.ascontiguousarray(np.swapaxes(a_safe, 1, 2))
-    x = np.full((n_pts, n), 1.0 / n)
-    est = np.zeros(n_pts)
-    rows = np.arange(n_pts)
-    for _ in range(_CONDEST_SWEEPS):
-        y = _solve_stack(a_safe, x)
-        est = np.maximum(est, np.abs(y).sum(axis=-1))
-        s = np.where(y >= 0.0, 1.0, -1.0)
-        z = _solve_stack(at, s)
-        # Non-finite entries become -1, so no NaN is left for argmax.
-        j = np.where(np.isfinite(z), np.abs(z), -1.0).argmax(axis=-1)
-        x = np.zeros((n_pts, n))
-        x[rows, j] = 1.0
+    if a_inv is None:
+        a_inv = _inv_stack(np.where(finite[:, None, None], a, np.eye(a.shape[-1])))
+    else:
+        a_inv = np.asarray(a_inv, dtype=float).reshape(a.shape)
     with np.errstate(invalid="ignore", over="ignore"):
-        cond = norm_a * est
+        cond = _norm_1(a) * _norm_1(a_inv)
     cond = np.where(np.isnan(cond), np.inf, cond)
     return float(cond[0]) if squeeze else cond
 

@@ -10,7 +10,7 @@ from repro.robustness import (
     IllConditionedError,
     NearBoundaryWarning,
     ValidationError,
-    condition_number,
+    condest_1,
     conditioning_outcome,
     ensure_finite_array,
     ensure_finite_scalar,
@@ -82,26 +82,26 @@ class TestNegativeMask:
 
 class TestConditioning:
     def test_condition_number_identity(self):
-        assert condition_number(np.eye(3)) == pytest.approx(1.0)
+        assert condest_1(np.eye(3)) == pytest.approx(1.0)
 
     def test_spectral_radius(self):
         assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)
 
     def test_warns_between_thresholds(self):
-        cond = condition_number(np.diag([1.0, 1e-9]))  # cond 1e9
+        cond = condest_1(np.diag([1.0, 1e-9]))  # cond 1e9
         error, warning = conditioning_outcome(cond, "M")
         assert error is None
         assert isinstance(warning, NearBoundaryWarning)
 
     def test_raises_above_error_threshold(self):
-        cond = condition_number(np.diag([1.0, 1e-15]))
+        cond = condest_1(np.diag([1.0, 1e-15]))
         error, warning = conditioning_outcome(cond, "M", spectral_radius_hint=0.9999)
         assert isinstance(error, IllConditionedError) and warning is None
         assert error.condition_number > 1e13
         assert error.spectral_radius == pytest.approx(0.9999)
 
     def test_clean_matrix_silent(self):
-        cond = condition_number(np.eye(2))
+        cond = condest_1(np.eye(2))
         assert cond == pytest.approx(1.0)
         assert conditioning_outcome(cond, "M") == (None, None)
 

@@ -8,8 +8,12 @@ Four families of invariants:
 * **Verdict mapping** — verdicts are total over ``None``/NaN/inf/finite
   bounds, monotone in the bound, and the vector form is elementwise
   identical to the scalar form.
-* **Scalar/batched bit-identity** — the 1-norm condition estimator and
-  the end-to-end sweep produce *bit-identical* trust verdicts and error
+* **Exact condition numbers** — ``condest_1`` is the exact 1-norm
+  condition number (it matches ``np.linalg.cond(a, 1)``), a singular or
+  non-finite slice is ``inf`` on its own, and a solved point reports the
+  same cond₁(I - R) that its error bound used.
+* **Scalar/batched bit-identity** — the condition number and the
+  end-to-end sweep produce *bit-identical* trust verdicts and error
   bounds whether a point is solved alone or inside a prefetched stack.
 * **Fault visibility** — an injected silent perturbation lands
   ``suspect``/``untrusted`` at the oracle, and the committed
@@ -171,6 +175,14 @@ class TestScaleTolerance:
 class TestCondestBitIdentity:
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
+    def test_matches_numpy_cond_1(self, seed):
+        """The 1-norm condition number is exact, not an estimate."""
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
+        assert condest_1(a) == pytest.approx(np.linalg.cond(a, 1), rel=1e-12)
+
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=25, deadline=None)
     def test_scalar_equals_stacked_slice(self, seed):
         """condest_1 of one matrix is bitwise equal to the matching slice
         of the stacked call — the arithmetic behind the scalar and batched
@@ -181,16 +193,53 @@ class TestCondestBitIdentity:
         for i in range(stack.shape[0]):
             assert condest_1(stack[i]) == batched[i]
 
+    def test_given_inverse_gives_the_same_value(self):
+        a = np.array([[2.0, 1.0], [0.0, 4.0]])
+        assert condest_1(a, np.linalg.inv(a)) == condest_1(a)
+
     def test_identity_estimates_one(self):
         assert condest_1(np.eye(5)) == 1.0
 
     def test_singular_estimates_inf(self):
         assert condest_1(np.zeros((3, 3))) == float("inf")
+        assert condest_1(np.ones((3, 3))) == float("inf")
 
     def test_nonfinite_estimates_inf(self):
         a = np.eye(3)
         a[0, 0] = np.nan
         assert condest_1(a) == float("inf")
+        a[0, 0] = np.inf
+        assert condest_1(a) == float("inf")
+
+    def test_singular_slice_is_inf_alone(self):
+        stack = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
+        stack[2, 0, 1] = 1.0
+        cond = condest_1(stack)
+        assert cond[1] == float("inf")
+        assert cond[0] == 1.0
+        assert cond[2] == condest_1(stack[2])
+        assert np.isfinite(cond[2])
+
+
+class TestOneConditionNumber:
+    def test_diagnostics_report_the_bound_term(self, monkeypatch):
+        """A solved point's ``condition_i_minus_r`` is the very cond₁(I - R)
+        its error bound composed, not a second condition number."""
+        import repro.markov.qbd as qbd_mod
+
+        used = []
+        real = qbd_mod.compose_bound
+
+        def spy(*args):
+            used.append(float(np.asarray(args[3])[0]))
+            return real(*args)
+
+        monkeypatch.setattr(qbd_mod, "compose_bound", spy)
+        params = SystemParameters.from_loads(rho_s=0.99 * 1.5, rho_l=0.5)
+        diagnostics = CsCqAnalysis(params).solver_diagnostics
+        assert len(used) == 1
+        assert diagnostics.condition_i_minus_r == used[0]
+        assert diagnostics.condition_estimate >= used[0]
 
 
 class TestSweepBitIdentity:
